@@ -70,8 +70,6 @@ def _add_common(p, tol=True, seed=True):
     if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all randomized steps (default 0)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved for future parallel runs (currently ignored)")
     p.add_argument("--out", type=str, default=None,
                    help="write the JSON verdict to this file instead of stdout")
 
@@ -149,17 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> dict:
     a = pencil.read_tuple(args.pencil)
     x = pencil.read_tuple(args.point)
-    rep = pencil.membership(a, x, tol=args.tol)
-    out = {"membership": rep.to_json(), "euclidean": None, "arveson": None,
-           "irreducible": None, "absolute": None, "matrix_extreme": None}
-    if rep.status == pencil.OUTSIDE:
-        return out
-    out["euclidean"] = extreme.is_euclidean_extreme(a, x, tol=args.tol).to_json()
-    out["arveson"] = extreme.is_arveson(a, x, tol=args.tol).to_json()
-    out["irreducible"] = extreme.is_irreducible(x, tol=args.tol).to_json()
-    out["absolute"] = extreme.is_absolute_extreme(a, x, tol=args.tol).to_json()
-    out["matrix_extreme"] = extreme.matrix_extreme_status(a, x, tol=args.tol).to_json()
-    return out
+    return extreme.classify(a, x, tol=args.tol).to_json()
 
 
 def _cmd_member(args) -> dict:

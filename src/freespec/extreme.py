@@ -11,21 +11,25 @@ notions are characterized through the kernel of ``L_A(X)``:
 * Absolute extreme: Arveson boundary and irreducible.
 
 Failed tests return verified witnesses: a perturbation ``Y`` with
-``X ± tY`` both members, or a dilation ``[[X, t alpha], [t alpha*, beta]]``
-that is again a member. :func:`dilation_oracle` is an independent
+``X ± tY`` both members, or a dilation ``[[X, t alpha], [t alpha*, 0]]``
+that is again a member. The step ``t`` has a closed form in
+``S = (L_A(X) + (WITNESS_TOL/2) I)^{-1/2}``; a point whose ``L_A(X)`` dips
+below ``-WITNESS_TOL/2``, or a witness that fails its direct membership
+check at ``-WITNESS_TOL``, raises ``NumericalError``. :func:`classify` runs
+every test once. :func:`dilation_oracle` is an independent
 feasibility-solver route to the same dilation question, kept deliberately
 separate from the kernel test so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import feasibility, linalg, pencil, structure
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .linalg import TOL
 
 #: eigenvalue slack accepted when verifying witnesses by direct membership
@@ -67,18 +71,28 @@ def column_dilation(x, alpha, beta=None) -> np.ndarray:
     return out
 
 
-def _bisect_scale(feasible, max_iter: int = 40) -> float:
-    """Largest t in (0, 1] with feasible(t), by bisection from above."""
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _shifted_inv_sqrt(a, x) -> np.ndarray:
+    """``S = (L_A(X) + (WITNESS_TOL/2) I)^{-1/2}`` from one eigendecomposition.
+
+    Witness steps aim at ``min_eig >= -WITNESS_TOL/2``, which leaves half the
+    slack for rounding before the direct check at ``-WITNESS_TOL``.
+    """
+    w, v = linalg.eigh(pencil.eval_monic(a, x))
+    w = w + WITNESS_TOL / 2
+    if w[0] <= 0.0:
+        raise NumericalError(
+            f"L_A(X) has min_eig {w[0] - WITNESS_TOL / 2:.3e} below "
+            f"-{WITNESS_TOL / 2:.1e}; no witness step can be verified"
+        )
+    return (v / np.sqrt(w)) @ v.conj().T
+
+
+def _verified(t: float, worst: float, what: str) -> float:
+    if worst < -WITNESS_TOL:
+        raise NumericalError(
+            f"{what} at t={t:.6g} fails verification (min_eig {worst:.3e})"
+        )
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +137,14 @@ def _euclidean_system(a, kernel, basis):
     imaginary parts. Uses ``(A_j ⊗ H) k = vec(A_j K H^T)`` with K the
     (d, n) matrix reshape of ``k``.
     """
-    g, d = a.shape[0], a.shape[1]
-    n = basis.shape[1]
-    cols = []
-    for j in range(g):
-        for h in basis:
-            col = []
-            for k in kernel.T:
-                km = k.reshape(d, n)
-                col.append((a[j] @ km @ h.T).ravel())
-            v = np.concatenate(col)
-            cols.append(np.concatenate([v.real, v.imag]))
-    return np.array(cols).T
+    g, d, n = a.shape[0], a.shape[1], basis.shape[1]
+    kmats = kernel.T.reshape(-1, d, n)
+    # broadcast products round exactly as one product per (j, b, k) would;
+    # an einsum reorders the sums, which rotates the kernel basis inside a
+    # multi-dimensional solution space and so changes the returned witness
+    m = a[:, None, None] @ kmats[None, None] @ basis.transpose(0, 2, 1)[None, :, None]
+    m = m.transpose(2, 3, 4, 0, 1).reshape(-1, g * n * n)
+    return np.vstack([m.real, m.imag])
 
 
 def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
@@ -143,7 +153,13 @@ def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
     Interior points are never extreme; the witness is then the first
     coordinate direction. On the boundary the admissible perturbations form
     the nullspace of a real linear system; a nonzero solution is returned as
-    a witness scaled by bisection so that ``X ± t Y`` stay members.
+    a witness ``Y`` with the closed-form step
+    ``t = min(1, 1/max|eig(S Lam_A(Y) S)|)``, where
+    ``S = (L_A(X) + (WITNESS_TOL/2) I)^{-1/2}``, so that ``X ± t Y`` stay
+    members. Raises ``NumericalError`` when ``L_A(X)`` dips below
+    ``-WITNESS_TOL/2`` (a point inside the ``±tol`` boundary band that lies
+    outside by more than half the witness slack) or the witness fails its
+    direct membership check at ``-WITNESS_TOL``.
     """
     a, x, rep = _require_member(a, x, tol)
     g, n = a.shape[0], x.shape[1]
@@ -152,7 +168,7 @@ def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
     if rep.status == pencil.INTERIOR:
         witness = np.zeros((g, n, n), dtype=complex)
         witness[0] = np.eye(n) / np.sqrt(n)
-        t = _scale_witness(a, x, witness, tol)
+        t = _scale_witness(a, x, witness)
         return EuclideanVerdict(False, witness, t, kernel_dim=0,
                                 solution_dim=g * n * n)
 
@@ -166,23 +182,18 @@ def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
         [np.tensordot(y[j * n * n:(j + 1) * n * n], basis, axes=1) for j in range(g)]
     )
     witness = witness / np.linalg.norm(witness)
-    t = _scale_witness(a, x, witness, tol)
+    t = _scale_witness(a, x, witness)
     return EuclideanVerdict(False, witness, t, kernel_dim=rep.kernel.shape[1],
                             solution_dim=null.shape[1])
 
 
-def _scale_witness(a, x, y, tol) -> float:
-    def feasible(t):
-        lo = linalg.min_eig(pencil.eval_monic(a, x - t * y))
-        hi = linalg.min_eig(pencil.eval_monic(a, x + t * y))
-        return min(lo, hi) >= -WITNESS_TOL
-
-    t = _bisect_scale(feasible)
-    if t > 0.0:
-        return t
-    # bisection can only fail by landing at 0; any small enough step works
-    top = float(np.abs(linalg.eigh(pencil.eval_hom(a, y)).w).max())
-    return WITNESS_TOL / max(1.0, top)
+def _scale_witness(a, x, y) -> float:
+    s = _shifted_inv_sqrt(a, x)
+    top = float(np.abs(linalg.eigh(s @ pencil.eval_hom(a, y) @ s).w).max())
+    t = 1.0 / max(1.0, top)
+    worst = min(linalg.min_eig(pencil.eval_monic(a, x + t * y)),
+                linalg.min_eig(pencil.eval_monic(a, x - t * y)))
+    return _verified(t, worst, "perturbation witness")
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +240,9 @@ def _arveson_system(a, kernel, n):
     the (j, i) unknown, where K is the (d, n) reshape of the kernel vector.
     """
     g, d = a.shape[0], a.shape[1]
-    rows = []
-    for k in kernel.T:
-        km = k.reshape(d, n)
-        block = np.zeros((d, g * n), dtype=complex)
-        for j in range(g):
-            coef = km.conj().T @ a[j]  # (n, d): row i = K[:, i]* A_j
-            block[:, j * n:(j + 1) * n] = coef.T
-        rows.append(block)
-    return np.vstack(rows)
+    kmats = kernel.T.reshape(-1, d, n)
+    coef = kmats.conj().transpose(0, 2, 1)[:, None] @ a[None]  # (k, j, i, c)
+    return coef.transpose(0, 3, 1, 2).reshape(-1, g * n)
 
 
 def is_arveson(a, x, tol: float = TOL) -> ArvesonVerdict:
@@ -246,6 +251,10 @@ def is_arveson(a, x, tol: float = TOL) -> ArvesonVerdict:
     ``X`` is in the boundary exactly when no nonzero column tuple ``alpha``
     satisfies ``ker L_A(X) ⊆ ker (sum_j A_j ⊗ alpha_j)*``; such an ``alpha``
     yields a one-column member dilation, returned as a verified witness.
+    With ``C = sum_j A_j ⊗ alpha_j`` the dilation's pencil is
+    ``[[L_A(X), -tC], [-tC*, I]]``, so by the Schur complement the step is
+    ``t = min(1, sqrt((1 + WITNESS_TOL/2) / ||S C||^2))`` with ``S`` as in
+    :func:`is_euclidean_extreme`, whose ``NumericalError`` contract it shares.
     """
     a, x, rep = _require_member(a, x, tol)
     g, n = a.shape[0], x.shape[1]
@@ -269,14 +278,11 @@ def is_arveson(a, x, tol: float = TOL) -> ArvesonVerdict:
 
 
 def _scale_alpha(a, x, alpha) -> float:
-    def feasible(t):
-        z = column_dilation(x, t * alpha)
-        return linalg.min_eig(pencil.eval_monic(a, z)) >= -WITNESS_TOL
-
-    t = _bisect_scale(feasible)
-    if t > 0.0:
-        return t
-    return 0.0  # should not happen for admissible columns; report honestly
+    s = _shifted_inv_sqrt(a, x)
+    top = np.linalg.norm(s @ pencil.eval_hom_col(a, alpha), 2) ** 2 / (1 + WITNESS_TOL / 2)
+    t = 1.0 / np.sqrt(max(1.0, top))
+    worst = linalg.min_eig(pencil.eval_monic(a, column_dilation(x, t * alpha)))
+    return _verified(t, worst, "column dilation")
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +306,25 @@ class IrreducibilityVerdict:
 
 
 def is_irreducible(x, tol: float = TOL) -> IrreducibilityVerdict:
-    """Trivial-commutant test, with a reducing projection as witness."""
+    """Trivial-commutant test, with a reducing projection as witness.
+
+    The projection splits the spectrum of a non-scalar Hermitian commutant
+    element at its largest eigenvalue gap.
+    """
     x = pencil.as_tuple(x, what="tuple")
-    dim = structure.commutant_dim(x, tol=tol)
-    if dim == 1:
-        return IrreducibilityVerdict(True, dim, None)
-    proj = structure.reducing_projection(x, tol=tol)
-    return IrreducibilityVerdict(False, dim, proj)
+    n = x.shape[1]
+    basis = structure.commutant(x, tol=tol)
+    if basis.shape[0] == 1:
+        return IrreducibilityVerdict(True, 1, None)
+    for c in basis:
+        for h in (linalg.hermitian_part(c), linalg.hermitian_part(1j * c)):
+            if np.linalg.norm(h - np.trace(h) / n * np.eye(n)) < 10 * tol:
+                continue
+            w, v = linalg.eigh(h)
+            cut = int(np.argmax(np.diff(w))) + 1
+            proj = linalg.hermitian_part(v[:, :cut] @ v[:, :cut].conj().T)
+            return IrreducibilityVerdict(False, basis.shape[0], proj)
+    return IrreducibilityVerdict(False, basis.shape[0], None)
 
 
 @dataclass
@@ -326,13 +344,6 @@ class AbsoluteVerdict:
         }
 
 
-def is_absolute_extreme(a, x, tol: float = TOL) -> AbsoluteVerdict:
-    """Absolute extreme points are the irreducible Arveson boundary points."""
-    arv = is_arveson(a, x, tol=tol)
-    irr = is_irreducible(x, tol=tol)
-    return AbsoluteVerdict(arv.boundary and irr.irreducible, arv, irr)
-
-
 @dataclass
 class MatrixExtremeReport:
     status: str  # "yes" / "no" / "unknown"
@@ -342,32 +353,71 @@ class MatrixExtremeReport:
         return {"status": self.status, "reason": self.reason}
 
 
-def matrix_extreme_status(a, x, tol: float = TOL) -> MatrixExtremeReport:
-    """Partial test for matrix extreme points.
+def _verdicts(a, x, tol):
+    return (is_euclidean_extreme(a, x, tol=tol), is_arveson(a, x, tol=tol),
+            is_irreducible(x, tol=tol))
 
+
+def _sandwich(euc, arv, irr) -> tuple[AbsoluteVerdict, MatrixExtremeReport]:
+    """Absolute and matrix-extreme verdicts derived from the kernel tests.
+
+    Absolute extreme points are the irreducible Arveson boundary points.
     Matrix extreme points sit between the Euclidean extreme points and the
     absolute extreme points, so only a sandwich argument is available:
     irreducible Arveson boundary points are matrix extreme; points that are
     reducible or not Euclidean extreme are not; the rest stay unknown.
     """
-    irr = is_irreducible(x, tol=tol)
+    absolute = AbsoluteVerdict(arv.boundary and irr.irreducible, arv, irr)
     if not irr.irreducible:
-        return MatrixExtremeReport("no", "reducible points are never matrix extreme")
-    arv = is_arveson(a, x, tol=tol)
-    if arv.boundary:
-        return MatrixExtremeReport(
+        mx = MatrixExtremeReport("no", "reducible points are never matrix extreme")
+    elif arv.boundary:
+        mx = MatrixExtremeReport(
             "yes", "irreducible Arveson boundary points are matrix extreme"
         )
-    euc = is_euclidean_extreme(a, x, tol=tol)
-    if not euc.extreme:
-        return MatrixExtremeReport(
-            "no", "matrix extreme points must be Euclidean extreme"
+    elif not euc.extreme:
+        mx = MatrixExtremeReport("no", "matrix extreme points must be Euclidean extreme")
+    else:
+        mx = MatrixExtremeReport(
+            "unknown",
+            "Euclidean extreme and irreducible but not Arveson; the implemented "
+            "tests cannot separate matrix extreme from merely Euclidean here",
         )
-    return MatrixExtremeReport(
-        "unknown",
-        "Euclidean extreme and irreducible but not Arveson; the implemented "
-        "tests cannot separate matrix extreme from merely Euclidean here",
-    )
+    return absolute, mx
+
+
+def is_absolute_extreme(a, x, tol: float = TOL) -> AbsoluteVerdict:
+    """Absolute extreme points are the irreducible Arveson boundary points."""
+    return _sandwich(*_verdicts(a, x, tol))[0]
+
+
+def matrix_extreme_status(a, x, tol: float = TOL) -> MatrixExtremeReport:
+    """Partial test for matrix extreme points; see :func:`_sandwich`."""
+    return _sandwich(*_verdicts(a, x, tol))[1]
+
+
+@dataclass
+class Classification:
+    """All verdicts for one point; outside points carry only ``membership``."""
+
+    membership: pencil.MembershipReport
+    euclidean: Optional[EuclideanVerdict] = None
+    arveson: Optional[ArvesonVerdict] = None
+    irreducible: Optional[IrreducibilityVerdict] = None
+    absolute: Optional[AbsoluteVerdict] = None
+    matrix_extreme: Optional[MatrixExtremeReport] = None
+
+    def to_json(self) -> dict:
+        return {f.name: None if getattr(self, f.name) is None
+                else getattr(self, f.name).to_json() for f in fields(self)}
+
+
+def classify(a, x, tol: float = TOL) -> Classification:
+    """Membership and every extremality verdict, each kernel test run once."""
+    rep = pencil.membership(a, x, tol=tol)
+    if rep.status == pencil.OUTSIDE:
+        return Classification(rep)
+    euc, arv, irr = _verdicts(a, x, tol)
+    return Classification(rep, euc, arv, irr, *_sandwich(euc, arv, irr))
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +478,8 @@ def dilation_oracle(
     base[d * n:, d * n:] = np.eye(d)
 
     # real parameters: alpha over the 2*g*n coordinate directions, then beta
-    alpha_dirs = []
-    for j in range(g):
-        for i in range(n):
-            e = np.zeros((g, n), dtype=complex)
-            e[j, i] = 1.0
-            alpha_dirs.append(e)
-            e2 = np.zeros((g, n), dtype=complex)
-            e2[j, i] = 1j
-            alpha_dirs.append(e2)
+    rng = linalg.default_rng(seed)
+    alpha_dirs = feasibility._alpha_directions(g, n, 0, rng)
     gens = []
     for e in alpha_dirs:
         c = pencil.eval_hom_col(a, e)
@@ -451,20 +494,18 @@ def dilation_oracle(
     gens = np.stack(gens)
     p_alpha = len(alpha_dirs)
 
-    rng = linalg.default_rng(seed)
     cands = []
     for _ in range(directions):
         v = rng.standard_normal((g, n)) + 1j * rng.standard_normal((g, n))
         cands.append(v / np.linalg.norm(v))
-    for e in alpha_dirs:
-        cands.append(e)
+    cands.extend(alpha_dirs)
 
     tried = 0
     for c in cands:
         tried += 1
+        # Re<c, alpha> over the coordinates: Re c_ji for e_ji, Im c_ji for i*e_ji
         row = np.zeros(gens.shape[0])
-        for p, e in enumerate(alpha_dirs):
-            row[p] = float(np.vdot(c, e).real)
+        row[:p_alpha] = np.stack([c.real, c.imag], axis=-1).ravel()
         problem = feasibility.FeasibilityProblem(
             dim=dim, base=base, generators=gens,
             extra=row[None], extra_rhs=np.array([delta]),
@@ -473,9 +514,7 @@ def dilation_oracle(
                                            stall_window=200)
         if not res.feasible:
             continue
-        alpha = np.zeros((g, n), dtype=complex)
-        for p, e in enumerate(alpha_dirs):
-            alpha += res.s[p] * e
+        alpha = (res.s[0:p_alpha:2] + 1j * res.s[1:p_alpha:2]).reshape(g, n)
         beta = res.s[p_alpha:].real
         if np.linalg.norm(alpha) < 0.25 * delta:
             continue

@@ -88,13 +88,14 @@ def null_space(a, tol: float = TOL) -> np.ndarray:
     """Orthonormal basis of the kernel of ``a`` as columns.
 
     Uses the SVD with the cutoff ``s <= tol * max(1, s_max)``; returns an
-    ``(n, k)`` array (``k`` may be 0).
+    ``(n, k)`` array (``k`` may be 0). Only a wide matrix needs the full
+    ``V``; a tall one gets the thin SVD and never builds its ``m x m`` ``U``.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.eye(a.shape[1] if a.ndim == 2 else 0, dtype=complex)
     try:
-        _, s, vh = np.linalg.svd(a)
+        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"svd did not converge: {exc}") from exc
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
@@ -112,33 +113,6 @@ def pinv(a, tol: float = TOL) -> np.ndarray:
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return vh.conj().T @ (inv[:, None] * u.conj().T)
-
-
-def psd_clip(a, floor: float = 0.0) -> np.ndarray:
-    """Project a Hermitian matrix onto the PSD cone (eigenvalue clipping)."""
-    w, v = eigh(a)
-    w = np.maximum(w, floor)
-    return hermitian_part((v * w) @ v.conj().T)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (thin alias for ``np.kron`` kept for locality)."""
-    return np.kron(a, b)
-
-
-def canonical_shuffle(d: int, n: int) -> np.ndarray:
-    """Permutation matrix ``P`` of size ``d*n`` with ``P (A⊗X) P* = X⊗A``.
-
-    ``P`` maps the basis vector ``e_k ⊗ e_l`` (k < d, l < n) to
-    ``e_l ⊗ e_k``; its transpose is ``canonical_shuffle(n, d)``.
-    """
-    if d < 0 or n < 0:
-        raise InputError("shuffle dimensions must be nonnegative")
-    p = np.zeros((d * n, d * n))
-    for k in range(d):
-        for l in range(n):
-            p[l * d + k, k * n + l] = 1.0
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -41,30 +41,6 @@ def commutant_dim(x, tol: float = TOL) -> int:
     return commutant(x, tol=tol).shape[0]
 
 
-def reducing_projection(x, tol: float = TOL) -> Optional[np.ndarray]:
-    """An orthogonal projection commuting with ``x``, or None if irreducible.
-
-    Found by splitting the spectrum of a non-scalar Hermitian commutant
-    element at its largest eigenvalue gap.
-    """
-    x = pencil.as_tuple(x, what="tuple")
-    n = x.shape[1]
-    basis = commutant(x, tol=tol)
-    if basis.shape[0] <= 1:
-        return None
-    for c in basis:
-        for h in (linalg.hermitian_part(c), linalg.hermitian_part(1j * c)):
-            traceless = h - np.trace(h) / n * np.eye(n)
-            if np.linalg.norm(traceless) < 10 * tol:
-                continue
-            w, v = linalg.eigh(h)
-            gaps = np.diff(w)
-            cut = int(np.argmax(gaps)) + 1
-            proj = v[:, :cut] @ v[:, :cut].conj().T
-            return linalg.hermitian_part(proj)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # irreducible decomposition
 # ---------------------------------------------------------------------------

@@ -224,6 +224,15 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_point_outside_half_the_witness_slack_exits_3(files, capsys):
+    spin = gallery.spin_disk().pencil
+    h = linalg.random_herm_tuple(2, 2, linalg.default_rng(3))
+    x = (1 + 5e-9) * pencil.scale_to_boundary(spin, h)[1]
+    code = cli.main(["classify", "--pencil", files("a", spin), "--point", files("x", x)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     def boom(args):
         raise NumericalError("forced failure")

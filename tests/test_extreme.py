@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from freespec import extreme, gallery, linalg, pencil
-from freespec.errors import InputError
-from conftest import boundary_point, random_bounded_pencil
+from freespec.errors import InputError, NumericalError
+from conftest import boundary_point, interior_point, random_bounded_pencil
 
 INTERVAL = gallery.interval().pencil
 CUBE = gallery.cube(2).pencil
@@ -74,6 +74,78 @@ def test_euclidean_witness_invariants(seed):
         assert abs(np.linalg.norm(v.witness) - 1.0) < 1e-9
         assert v.t > 0
         assert members(a, x, v.witness, v.t)
+
+
+def bisect_scale(feasible, max_iter=40):
+    """Largest t in (0, 1] with feasible(t), by bisection from above.
+
+    The step search the closed forms replaced, kept as their reference.
+    """
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def min_eig_at(a, x):
+    return linalg.min_eig(pencil.eval_monic(a, x))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_closed_form_steps_match_bisection(pencil_pool, level):
+    rng = linalg.default_rng(300 + level)
+    checked = 0
+    for a in pencil_pool:
+        for x in (boundary_point(a, level, rng), interior_point(a, level, rng)):
+            euc = extreme.is_euclidean_extreme(a, x)
+            if not euc.extreme:
+                y = euc.witness
+                ref = bisect_scale(lambda t: min(min_eig_at(a, x + t * y), min_eig_at(a, x - t * y))
+                                   >= -extreme.WITNESS_TOL)
+                assert abs(euc.t - ref) <= 1e-6 * ref
+                checked += 1
+            arv = extreme.is_arveson(a, x)
+            if not arv.boundary:
+                ref = bisect_scale(
+                    lambda t: min_eig_at(a, extreme.column_dilation(x, t * arv.alpha))
+                    >= -extreme.WITNESS_TOL)
+                assert abs(arv.t - ref) <= 1e-6 * ref
+                checked += 1
+    assert checked >= len(pencil_pool) * 2
+
+
+def spin_near_cutoff(factor):
+    h = linalg.random_herm_tuple(2, 2, linalg.default_rng(3))
+    return factor * pencil.scale_to_boundary(SPIN, h)[1]
+
+
+def test_point_outside_half_the_witness_slack_raises():
+    # min_eig about -5e-9: inside the +-tol boundary band, but no witness
+    # step can keep the slack of WITNESS_TOL
+    x = spin_near_cutoff(1 + 5e-9)
+    assert pencil.membership(SPIN, x).status == pencil.BOUNDARY
+    with pytest.raises(NumericalError):
+        extreme.is_arveson(SPIN, x)
+    with pytest.raises(NumericalError):
+        extreme.is_euclidean_extreme(SPIN, x)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1 + 1e-10])
+def test_near_cutoff_witnesses_verify(factor):
+    x = spin_near_cutoff(factor)
+    euc = extreme.is_euclidean_extreme(SPIN, x)
+    arv = extreme.is_arveson(SPIN, x)
+    assert not euc.extreme and not arv.boundary
+    for sign in (1.0, -1.0):
+        assert min_eig_at(SPIN, x + sign * euc.t * euc.witness) >= -extreme.WITNESS_TOL
+    z = extreme.column_dilation(x, arv.t * arv.alpha)
+    assert min_eig_at(SPIN, z) >= -extreme.WITNESS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +277,29 @@ def test_matrix_extreme_sandwich_consistency():
             assert extreme.is_euclidean_extreme(a, x).extreme
         if extreme.is_absolute_extreme(a, x).absolute:
             assert st.status == "yes"
+
+
+def test_classify_matches_separate_verdicts(pencil_pool):
+    rng = linalg.default_rng(41)
+    for a in pencil_pool:
+        points = [boundary_point(a, 2, rng), interior_point(a, 2, rng),
+                  pencil.direct_sum([boundary_point(a, 1, rng), boundary_point(a, 2, rng)]),
+                  2.0 * boundary_point(a, 1, rng)]
+        for x in points:
+            rep = pencil.membership(a, x)
+            expected = {"membership": rep.to_json(), "euclidean": None, "arveson": None,
+                        "irreducible": None, "absolute": None, "matrix_extreme": None}
+            if rep.is_member:
+                expected.update(
+                    euclidean=extreme.is_euclidean_extreme(a, x).to_json(),
+                    arveson=extreme.is_arveson(a, x).to_json(),
+                    irreducible=extreme.is_irreducible(x).to_json(),
+                    absolute=extreme.is_absolute_extreme(a, x).to_json(),
+                    matrix_extreme=extreme.matrix_extreme_status(a, x).to_json(),
+                )
+            out = extreme.classify(a, x).to_json()
+            assert list(out) == list(expected)
+            assert out == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Linear-algebra helper tests: coordinates, shuffles, randomness."""
+"""Linear-algebra helper tests: coordinates, kernels, randomness."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,57 +85,24 @@ def test_null_space_random_wide(seed):
     assert np.abs(k.conj().T @ k - np.eye(k.shape[1])).max() < 1e-10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_null_space_random_tall(seed):
+    # a rank-2 complex 9x4 matrix: the kernel comes from the thin SVD
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))) @ (
+        rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    k = linalg.null_space(m)
+    assert k.shape == (4, 2)
+    assert np.abs(m @ k).max() < 10 * linalg.TOL * np.abs(m).max()
+    assert np.abs(k.conj().T @ k - np.eye(2)).max() < 1e-10
+
+
 def test_pinv_examples():
     assert np.abs(linalg.pinv(np.diag([2.0, 0.0])) - np.diag([0.5, 0.0])).max() < 1e-12
     assert np.abs(linalg.pinv(np.eye(3)) - np.eye(3)).max() < 1e-12
     u = np.array([1.0, 2.0, 2.0]) / 3.0
     proj = np.outer(u, u)
     assert np.abs(linalg.pinv(proj) - proj).max() < 1e-10
-
-
-def test_psd_clip():
-    a = np.diag([2.0, -1.0])
-    c = linalg.psd_clip(a)
-    assert np.abs(c - np.diag([2.0, 0.0])).max() < 1e-12
-    # PSD inputs pass through
-    assert np.abs(linalg.psd_clip(np.eye(2)) - np.eye(2)).max() < 1e-12
-    lifted = linalg.psd_clip(a, floor=0.5)
-    assert linalg.min_eig(lifted) >= 0.5 - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# tensor helpers
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(3))
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    a, c = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-    b, d = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-    rhs = linalg.kron(a @ c, b @ d)
-    assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def shuffle_oracle(d, n):
-    """Index-permutation construction of the shuffle: e_i⊗e_k -> e_k⊗e_i."""
-    p = np.zeros((d * n, d * n))
-    for i in range(d):
-        for k in range(n):
-            p[k * d + i, i * n + k] = 1.0
-    return p
-
-
-@pytest.mark.parametrize("d,n", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 3)])
-def test_canonical_shuffle_swaps_factors(d, n):
-    p = linalg.canonical_shuffle(d, n)
-    assert np.abs(p - shuffle_oracle(d, n)).max() < 1e-14
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert np.abs(p @ linalg.kron(a, x) @ p.conj().T - linalg.kron(x, a)).max() < 1e-12
-    # the inverse shuffle swaps the roles of d and n
-    assert np.abs(p.conj().T - linalg.canonical_shuffle(n, d)).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------

