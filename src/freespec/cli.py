@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--visible", type=int, default=None,
                    help="override the number of visible variables")
-    _add_common(p, seed=False)
+    _add_common(p, tol=False, seed=False)
 
     p = sub.add_parser("decompose", help="irreducible decomposition of a tuple")
     p.add_argument("--point", required=True)
@@ -175,9 +175,7 @@ def _cmd_drop_member(args) -> dict:
     if entry.visible_vars is None:
         raise InputError("pencil JSON has no visible_vars; pass --visible")
     x = pencil.read_tuple(args.point)
-    rep = feasibility.spectrahedrop_membership(entry.pencil, entry.visible_vars,
-                                               x, tol=args.tol)
-    return rep.to_json()
+    return feasibility.spectrahedrop_membership(entry.pencil, entry.visible_vars, x).to_json()
 
 
 def _cmd_decompose(args) -> dict:

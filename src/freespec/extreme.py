@@ -35,6 +35,14 @@ from .linalg import TOL
 #: eigenvalue slack accepted when verifying witnesses by direct membership
 WITNESS_TOL = 1e-9
 
+#: :func:`dilation_oracle`: random directions before the coordinate ones, the
+#: column normalization ``Re<c, alpha>``, the solver's target, cap and window
+ORACLE_DIRECTIONS = 6
+ORACLE_DELTA = 1e-2
+ORACLE_FEAS_TOL = 1e-7
+ORACLE_MAX_ITER = 4000
+ORACLE_STALL_WINDOW = 200
+
 
 def _require_member(a, x, tol):
     a = pencil.as_tuple(a, what="pencil")
@@ -447,24 +455,15 @@ class OracleVerdict:
         }
 
 
-def dilation_oracle(
-    a,
-    x,
-    directions: int = 6,
-    seed=0,
-    tol: float = TOL,
-    feas_tol: float = 1e-7,
-    max_iter: int = 4000,
-    delta: float = 1e-2,
-) -> OracleVerdict:
+def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
     """Search for one-column dilations with a convex feasibility solver.
 
     The dilation ``[[X, alpha], [alpha*, beta]]`` stays in the spectrahedron
     exactly when the block matrix ``[[L_A(X), -c(alpha)], [-c(alpha)*,
     L_A(beta)]]`` is PSD, an affine condition in ``(alpha, beta)``. For each
     direction ``c`` the solver runs with the normalization
-    ``Re<c, alpha> = delta``; any hit is verified by direct membership of the
-    dilated tuple before being reported.
+    ``Re<c, alpha> = ORACLE_DELTA``; any hit is verified by direct membership
+    of the dilated tuple before being reported.
 
     This deliberately shares no code path with :func:`is_arveson`.
     """
@@ -495,7 +494,7 @@ def dilation_oracle(
     p_alpha = len(alpha_dirs)
 
     cands = []
-    for _ in range(directions):
+    for _ in range(ORACLE_DIRECTIONS):
         v = rng.standard_normal((g, n)) + 1j * rng.standard_normal((g, n))
         cands.append(v / np.linalg.norm(v))
     cands.extend(alpha_dirs)
@@ -508,15 +507,16 @@ def dilation_oracle(
         row[:p_alpha] = np.stack([c.real, c.imag], axis=-1).ravel()
         problem = feasibility.FeasibilityProblem(
             dim=dim, base=base, generators=gens,
-            extra=row[None], extra_rhs=np.array([delta]),
+            extra=row[None], extra_rhs=np.array([ORACLE_DELTA]),
         )
-        res = feasibility.solve_affine_psd(problem, max_iter=max_iter, tol=feas_tol,
-                                           stall_window=200)
+        res = feasibility.solve_affine_psd(problem, max_iter=ORACLE_MAX_ITER,
+                                           tol=ORACLE_FEAS_TOL,
+                                           stall_window=ORACLE_STALL_WINDOW)
         if not res.feasible:
             continue
         alpha = (res.s[0:p_alpha:2] + 1j * res.s[1:p_alpha:2]).reshape(g, n)
         beta = res.s[p_alpha:].real
-        if np.linalg.norm(alpha) < 0.25 * delta:
+        if np.linalg.norm(alpha) < 0.25 * ORACLE_DELTA:
             continue
         z = column_dilation(x, alpha, beta)
         me = linalg.min_eig(pencil.eval_monic(a, z))

@@ -1,7 +1,11 @@
 """Affine-PSD feasibility problems and the convex machinery built on them.
 
 The workhorse is :func:`solve_affine_psd`, alternating projections with
-Dykstra's correction between an affine set and the PSD cone. On top of it:
+Dykstra's correction between an affine set and the PSD cone. The affine set
+is held as one orthonormal frame in the realified coordinates of ``Z`` (the
+constraint rows in Choi form, the free directions in generator form), so the
+iteration runs on ``Z`` alone and the parameters ``s`` are recovered once at
+the end. On top of it:
 
 * :func:`hull_membership` — is ``X`` in the matrix convex hull of a single
   tuple ``Omega``? Decided through a unital completely positive map
@@ -45,6 +49,14 @@ NOT_BOUNDARY = "not_boundary"
 #: default residual target for feasibility claims
 FEAS_TOL = 1e-6
 
+#: random directions per seed, and the solver's iteration cap, in
+#: :func:`arveson_in_hull`
+BOUNDARY_DIRECTIONS = 6
+BOUNDARY_MAX_ITER = 4000
+
+#: random hull members that :func:`polar_dual_check` tests besides ``Omega``
+DUAL_BATTERY = 4
+
 
 @dataclass
 class FeasibilityProblem:
@@ -53,11 +65,13 @@ class FeasibilityProblem:
     The unknown is ``Z = base + sum_i s_i * generators[i]`` subject to the
     affine equalities ``extra @ s = extra_rhs`` and ``Z >= 0``. Generators may
     be any Hermitian matrices (zero generators give free scalar unknowns that
-    only enter through ``extra``).
+    only enter through ``extra``); without ``extra`` there are no equalities.
 
     As a special case ``generators=None`` parameterizes the full Hermitian
-    space: ``s`` is then the realified coordinate vector of ``Z - base``
-    (see :func:`linalg.herm_to_vec`) and ``extra`` acts on those coordinates.
+    space (Choi form): ``s`` is then the realified coordinate vector of
+    ``Z - base`` (see :func:`linalg.herm_to_vec`) and ``extra`` acts on those
+    coordinates. Either way the solver works on the realified ``Z`` alone and
+    recovers ``s`` at the end (see :func:`solve_affine_psd`).
     """
 
     dim: int
@@ -79,25 +93,27 @@ class FeasibilityProblem:
             self.generators = gens
         if (self.extra is None) != (self.extra_rhs is None):
             raise InputError("extra and extra_rhs must be given together")
-        if self.extra is not None:
-            self.extra = np.atleast_2d(np.asarray(self.extra, dtype=float))
-            self.extra_rhs = np.atleast_1d(np.asarray(self.extra_rhs, dtype=float))
-            if self.extra.shape[0] != self.extra_rhs.shape[0]:
-                raise InputError("extra rows and rhs length differ")
-            width = self.dim ** 2 if self.generators is None else self.generators.shape[0]
-            if self.extra.shape[1] != width:
-                raise InputError(
-                    f"extra rows have width {self.extra.shape[1]}, expected {width}"
-                )
+        width = self.dim ** 2 if self.generators is None else self.generators.shape[0]
+        if self.extra is None:
+            self.extra, self.extra_rhs = np.zeros((0, width)), np.zeros(0)
+        self.extra = np.atleast_2d(np.asarray(self.extra, dtype=float))
+        self.extra_rhs = np.atleast_1d(np.asarray(self.extra_rhs, dtype=float))
+        if self.extra.shape[0] != self.extra_rhs.shape[0]:
+            raise InputError("extra rows and rhs length differ")
+        if self.extra.shape[1] != width:
+            raise InputError(
+                f"extra rows have width {self.extra.shape[1]}, expected {width}"
+            )
 
 
 @dataclass
 class FeasibilityResult:
     """Outcome of :func:`solve_affine_psd`.
 
-    ``residual`` is ``max(affine residual, |most negative eigenvalue|)`` at the
-    reported iterate. ``status`` is feasible / no_certificate only; the solver
-    cannot certify infeasibility.
+    ``residual`` is ``max(affine defect, |most negative eigenvalue|)`` of the
+    returned ``(z, s)``, the affine defect measured against the problem's own
+    ``base``, ``generators``, ``extra`` and ``extra_rhs``. ``status`` is
+    feasible / no_certificate only; the solver cannot certify infeasibility.
     """
 
     status: str
@@ -111,43 +127,75 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def _affine_projector(rows: np.ndarray, rhs: np.ndarray, tol: float):
-    """Least-squares projector onto {v : rows @ v = rhs} with cached SVD.
+def _svd(a, full: bool = False):
+    """SVD with the numerical rank under the cutoff ``1e-12 * max(1, s_max)``."""
+    try:
+        u, sig, vh = np.linalg.svd(a, full_matrices=full)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"svd did not converge: {exc}") from exc
+    rank = int(np.sum(sig > 1e-12 * max(1.0, sig[0] if sig.size else 0.0)))
+    return u, sig, vh, rank
 
-    Returns (project, consistent) where ``consistent`` is False when the rows
-    are inconsistent (the affine set is empty).
+
+@dataclass
+class _AffineFrame:
+    """The affine set ``{base + G s : E s = r}`` in realified coordinates.
+
+    ``z0`` is a point of the set (``G`` the identity in Choi form) and
+    ``basis`` has orthonormal columns: in Choi form they span the rows of
+    ``E``, and the set is ``{z : basis^T (z - z0) = 0}``; in generator form
+    they span ``G null(E)``, and the set is ``z0 + range(basis)``, with
+    ``to_s`` mapping coordinates along ``basis`` back to ``s``.
     """
-    pinv_rows = linalg.pinv(rows, tol=1e-12).real
-    # min-norm solution; if it does not satisfy the rows the system is empty
-    v0 = pinv_rows @ rhs
-    gap = float(np.abs(rows @ v0 - rhs).max(initial=0.0))
+
+    z0: np.ndarray
+    basis: np.ndarray
+    s0: np.ndarray
+    to_s: Optional[np.ndarray]
+    consistent: bool
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        coords = self.basis.T @ (z - self.z0)
+        if self.to_s is None:
+            return z - self.basis @ coords
+        return self.z0 + self.basis @ coords
+
+    def s_of(self, z: np.ndarray) -> np.ndarray:
+        """The ``s`` of a point ``z`` of the set."""
+        if self.to_s is None:
+            return self.s0 + (z - self.z0)
+        return self.s0 + self.to_s @ (self.basis.T @ (z - self.z0))
+
+
+def _affine_frame(problem: FeasibilityProblem, gvec: Optional[np.ndarray]) -> _AffineFrame:
+    """Point and orthonormal basis of the problem's affine set (thin SVDs).
+
+    One SVD of ``E`` gives the min-norm ``s0`` with ``E s0 = r`` and the
+    consistency check; in generator form a second one, of ``G null(E)``,
+    gives the free directions.
+    """
+    rows, rhs = problem.extra, problem.extra_rhs
+    base = linalg.herm_to_vec(problem.base)
+    u, sig, vh, k = _svd(rows, full=gvec is not None)
+    s0 = vh[:k].T @ ((u[:, :k].T @ rhs) / sig[:k])
+    gap = float(np.abs(rows @ s0 - rhs).max(initial=0.0))
     consistent = gap <= 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    if gvec is None:
+        return _AffineFrame(base + s0, vh[:k].T, s0, None, consistent)
+    null = vh[k:].T
+    u2, sig2, vh2, k2 = _svd(gvec @ null)
+    to_s = null @ (vh2[:k2].T / sig2[:k2])
+    return _AffineFrame(base + gvec @ s0, u2[:, :k2], s0, to_s, consistent)
 
-    def project(v):
-        return v - pinv_rows @ (rows @ v - rhs)
 
-    return project, consistent
-
-
-def _polish_directions(problem: FeasibilityProblem):
-    """Hermitian matrices spanning the free moves of the affine family.
-
-    Returns ``(dirs, coeffs)`` where ``dirs[i]`` is the matrix change caused
-    by the i-th free direction and ``coeffs`` maps free coordinates back to
-    the problem's ``s`` vector, or ``None`` when the family is rigid.
-    """
-    if problem.extra is not None and problem.extra.size:
-        null = linalg.null_space(problem.extra).real
-    else:
-        width = problem.dim ** 2 if problem.generators is None else problem.generators.shape[0]
-        null = np.eye(width)
-    if null.shape[1] == 0:
-        return None
-    if problem.generators is None:
-        dirs = np.stack([linalg.vec_to_herm(col, problem.dim) for col in null.T])
-    else:
-        dirs = np.tensordot(null.T, problem.generators, axes=(1, 0))
-    return dirs, null
+def _residual(problem: FeasibilityProblem, gvec, zmat: np.ndarray, s: np.ndarray) -> float:
+    """``max(PSD defect, affine defect)`` of ``(Z, s)`` against the problem."""
+    neg = max(0.0, -linalg.min_eig(zmat))
+    lin = s if gvec is None else gvec @ s
+    offset = linalg.herm_to_vec(zmat - problem.base) - lin
+    gap = max(float(np.abs(offset).max(initial=0.0)),
+              float(np.abs(problem.extra @ s - problem.extra_rhs).max(initial=0.0)))
+    return float(max(neg, gap))
 
 
 def _bottom_block(zmat: np.ndarray, q: int):
@@ -166,7 +214,7 @@ def _gn_stage(zmat, y, dirs, q, max_rounds):
         if f_norm <= 1e-15:
             break
         blocks = np.einsum("ra,fab,bs->frs", frame.conj().T, dirs, frame)
-        m = np.stack([linalg.herm_to_vec(b) for b in blocks]).T
+        m = linalg.herm_to_vec(blocks).T
         step, *_ = np.linalg.lstsq(m, -f_vec, rcond=None)
         accepted = False
         for damp in (1.0, 0.5, 0.25, 0.1, 0.03):
@@ -227,126 +275,90 @@ def solve_affine_psd(
     max_iter: int = 5000,
     tol: float = FEAS_TOL,
     stall_window: int = 400,
-    stall_factor: float = 0.5,
-    inflate: Optional[float] = None,
 ) -> FeasibilityResult:
     """Alternating projections with Dykstra correction on the PSD side.
 
-    The reported residual is ``max(affine residual, |min negative
-    eigenvalue|)`` at the final affine-exact iterate; ``feasible`` means it is
-    at most ``tol``. To keep convergence linear when the exact feasible set
-    has empty interior, the cone is inflated to ``Z >= -inflate * I``
-    (default ``tol / 2``) — any point of the inflated set still satisfies the
-    residual contract. Iteration stops at ``max_iter`` or when a whole
-    ``stall_window`` of iterations improved the best gap by less than the
-    factor ``stall_factor``.
+    Both problem forms iterate on the realified ``Z`` alone, between the PSD
+    cone and one affine frame (:class:`_AffineFrame`) built once per solve;
+    ``s`` is read off the final iterate through the frame. The reported
+    residual is ``max(affine defect, |min negative eigenvalue|)`` of the
+    returned ``(z, s)``; ``feasible`` means it is at most ``tol``. To keep
+    convergence linear when the exact feasible set has empty interior, the
+    cone is widened to ``Z >= -(tol/2) I`` — any point of the widened set
+    still satisfies the residual contract. Iteration stops at ``max_iter`` or
+    when a whole ``stall_window`` of iterations did not halve the best gap.
+    An empty affine set returns ``no_certificate`` at once (residual ``inf``).
     """
     d = problem.dim
-    zdim = d * d
-    if inflate is None:
-        inflate = 0.5 * tol
-    shifted = problem.base + inflate * np.eye(d)
-    base_vec = linalg.herm_to_vec(shifted)
-
-    if problem.generators is None:
-        # variable is z (realified coordinates of Z); extra rows act on
-        # s = z - base, so in z coordinates the rhs picks up rows @ base
-        if problem.extra is not None:
-            rows_z = problem.extra
-            rhs_z = problem.extra_rhs + rows_z @ base_vec
-        else:
-            rows_z = np.zeros((0, zdim))
-            rhs_z = np.zeros(0)
-        width = zdim
-
-        def split(v):
-            return v, v - base_vec
-    else:
-        p = problem.generators.shape[0]
-        ghat = np.stack([linalg.herm_to_vec(g) for g in problem.generators]).T  # (zdim, p)
-        cons = np.hstack([np.eye(zdim), -ghat])
-        cons_rhs = base_vec
-        if problem.extra is not None:
-            extra = np.hstack([np.zeros((problem.extra.shape[0], zdim)), problem.extra])
-            rows_z = np.vstack([cons, extra])
-            rhs_z = np.concatenate([cons_rhs, problem.extra_rhs])
-        else:
-            rows_z, rhs_z = cons, cons_rhs
-        width = zdim + p
-
-        def split(v):
-            return v[:zdim], v[zdim:]
-
-    project_affine, consistent = _affine_projector(rows_z, rhs_z, tol)
-    if not consistent:
-        zero = np.zeros(width)
-        zv, sv = split(project_affine(zero))
-        return FeasibilityResult(NO_CERTIFICATE, linalg.vec_to_herm(zv, d), sv,
+    gvec = None if problem.generators is None else linalg.herm_to_vec(problem.generators).T
+    frame = _affine_frame(problem, gvec)
+    if not frame.consistent:
+        return FeasibilityResult(NO_CERTIFICATE, linalg.vec_to_herm(frame.z0, d), frame.s0,
                                  residual=np.inf, iterations=0)
 
-    u = project_affine(np.zeros(width))
-    corr = np.zeros(width)
-    best = np.inf
-    best_state = None
+    floor = -0.5 * tol
+    u = frame.project(np.zeros(d * d))
+    corr = np.zeros(d * d)
+    best, best_u = np.inf, u
     checkpoint = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        # PSD projection (on the matrix part only) with Dykstra correction
+        # projection onto Z >= floor * I with Dykstra correction
         v = u + corr
-        zv, _ = split(v)
-        zmat = linalg.vec_to_herm(zv, d)
-        w, vecs = linalg.eigh(zmat)
-        zclip = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
-        y = v.copy()
-        y[:zdim] = linalg.herm_to_vec(linalg.hermitian_part(zclip))
+        w, vecs = linalg.eigh(linalg.vec_to_herm(v, d))
+        zclip = (vecs * np.maximum(w, floor)) @ vecs.conj().T
+        y = linalg.herm_to_vec(linalg.hermitian_part(zclip))
         corr = v - y
         # affine projection; the y-u gap bounds both constraint violations
-        u = project_affine(y)
+        u = frame.project(y)
         gap = float(np.abs(y - u).max(initial=0.0))
         if gap < best:
-            best = gap
-            best_state = u.copy()
+            best, best_u = gap, u
         if best <= 0.25 * tol:
             break
         if it % stall_window == 0:
             # give up when a whole window brought no real progress
-            if best > stall_factor * checkpoint:
+            if best > 0.5 * checkpoint:
                 break
             checkpoint = best
 
-    state = best_state if best_state is not None else u
-    zv, sv = split(state)
-    # undo the cone inflation and report the residual of the true iterate
-    zmat = linalg.vec_to_herm(zv, d) - inflate * np.eye(d)
-    neg = float(max(0.0, -linalg.min_eig(zmat)))
-    gap = float(np.abs(rows_z @ state - rhs_z).max(initial=0.0)) if rows_z.size else 0.0
-    residual = max(neg, gap)
+    zmat = linalg.vec_to_herm(best_u, d)
+    s = frame.s_of(best_u)
+    residual = _residual(problem, gvec, zmat, s)
     if residual > 0.25 * tol:
         # boundary-touching solutions defeat plain alternating projections;
         # finish with Gauss-Newton steps that stay inside the affine set
-        moves = _polish_directions(problem)
-        if moves is not None:
-            dirs, coeffs = moves
-            z_new, y_new, neg_new = _eigenblock_polish(zmat, dirs, tol)
-            if max(neg_new, gap) < residual:
-                zmat = z_new
-                sv = sv + coeffs @ y_new
-                residual = max(neg_new, gap)
+        if gvec is None:
+            moves = to_s = linalg.null_space(problem.extra).real
+        else:
+            moves, to_s = frame.basis, frame.to_s
+        if moves.shape[1]:
+            z_new, y_new, _ = _eigenblock_polish(zmat, linalg.vec_to_herm(moves.T, d), tol)
+            s_new = s + to_s @ y_new
+            r_new = _residual(problem, gvec, z_new, s_new)
+            if r_new < residual:
+                zmat, s, residual = z_new, s_new, r_new
     status = FEASIBLE if residual <= tol else NO_CERTIFICATE
-    return FeasibilityResult(status, zmat, sv, residual=residual, iterations=it)
+    return FeasibilityResult(status, zmat, s, residual=residual, iterations=it)
 
 
 # ---------------------------------------------------------------------------
 # Choi-matrix problems (unital completely positive interpolation)
 # ---------------------------------------------------------------------------
 
+def _kron_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Stack of ``kron(left[i], right[k])`` over all pairs, ``i`` major."""
+    dl, dr = left.shape[-1], right.shape[-1]
+    prod = left[:, None, :, None, :, None] * right[None, :, None, :, None, :]
+    return prod.reshape(-1, dl * dr, dl * dr)
+
+
 def _unitality_rows(d: int, n: int):
     """Rows enforcing sum_k C[k-block, k-block] = I_n on the Choi matrix."""
     basis = linalg.herm_basis(n)
-    eye_d = np.eye(d)
-    rows = [linalg.herm_to_vec(np.kron(eye_d, h)) for h in basis]
-    rhs = [float(np.trace(h).real) for h in basis]
-    return rows, rhs
+    rows = linalg.herm_to_vec(_kron_pairs(np.eye(d)[None], basis))
+    return rows, np.trace(basis, axis1=1, axis2=2).real
+
 
 def _matching_rows(omega: np.ndarray, targets, block: Optional[np.ndarray] = None):
     """Rows enforcing Phi(Omega_j) = targets[j] (optionally on a sub-block).
@@ -354,15 +366,11 @@ def _matching_rows(omega: np.ndarray, targets, block: Optional[np.ndarray] = Non
     ``block`` is an (n, m) isometry-like selector; when given, the constraint
     is ``block* Phi(Omega_j) block = targets[j]`` with targets of size m.
     """
-    m = targets[0].shape[0]
-    basis = linalg.herm_basis(m)
-    rows, rhs = [], []
-    for oj, tj in zip(omega, targets):
-        for h in basis:
-            hb = h if block is None else block @ h @ block.conj().T
-            rows.append(linalg.herm_to_vec(np.kron(oj.T, hb)))
-            rhs.append(float(np.trace(h @ tj).real))
-    return rows, rhs
+    basis = linalg.herm_basis(targets[0].shape[0])
+    hb = basis if block is None else block @ basis @ block.conj().T
+    rows = linalg.herm_to_vec(_kron_pairs(np.transpose(omega, (0, 2, 1)), hb))
+    rhs = np.trace(basis[None] @ np.asarray(targets)[:, None], axis1=2, axis2=3).real
+    return rows, rhs.ravel()
 
 
 def apply_choi(choi: np.ndarray, t: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -433,17 +441,16 @@ def choi_problem(omega, targets, extra_rows=None, extra_rhs=None) -> Feasibility
     n = targets[0].shape[0]
     rows, rhs = _unitality_rows(d, n)
     mrows, mrhs = _matching_rows(omega, targets)
-    rows += mrows
-    rhs += mrhs
+    rows, rhs = [rows, mrows], [rhs, mrhs]
     if extra_rows is not None:
-        rows += list(extra_rows)
-        rhs += list(extra_rhs)
+        rows.append(np.reshape(extra_rows, (-1, (d * n) ** 2)))
+        rhs.append(np.reshape(extra_rhs, -1))
     return FeasibilityProblem(
         dim=d * n,
         base=np.zeros((d * n, d * n), dtype=complex),
         generators=None,
-        extra=np.array(rows, dtype=float),
-        extra_rhs=np.array(rhs, dtype=float),
+        extra=np.vstack(rows),
+        extra_rhs=np.concatenate(rhs),
     )
 
 
@@ -451,7 +458,6 @@ def hull_membership(
     omega,
     x,
     tol: float = TOL,
-    feas_tol: float = FEAS_TOL,
     max_iter: int = 5000,
 ) -> HullMembershipReport:
     """Decide membership of ``X`` in the matrix convex hull of ``Omega``.
@@ -470,7 +476,7 @@ def hull_membership(
         return HullMembershipReport(NOT_MEMBER, None, min_eig=me, residual=np.inf)
 
     problem = choi_problem(omega, list(x))
-    res = solve_affine_psd(problem, max_iter=max_iter, tol=feas_tol)
+    res = solve_affine_psd(problem, max_iter=max_iter)
     if not res.feasible:
         return HullMembershipReport(NO_CERTIFICATE, None, min_eig=me, residual=res.residual)
     choi = res.z
@@ -511,8 +517,6 @@ def inclusion(
     samples: int = 40,
     seed=0,
     tol: float = TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int = 5000,
 ) -> InclusionReport:
     """Decide whether the spectrahedron of ``B`` sits inside that of ``A``.
 
@@ -538,7 +542,7 @@ def inclusion(
         checked += 1
         if linalg.min_eig(pencil.eval_monic(a, x)) < -max(tol, 1e-9):
             return InclusionReport(NOT_INCLUDED, x, None, checked)
-    rep = hull_membership(b, a, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
+    rep = hull_membership(b, a, tol=tol)
     if rep.status == MEMBER:
         return InclusionReport(INCLUDED, None, rep.certificate, checked)
     return InclusionReport(NO_CERTIFICATE, None, None, checked)
@@ -565,6 +569,26 @@ def _alpha_directions(g: int, n: int, extra: int, rng):
     return dirs
 
 
+def _column_row(omega: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Choi row of ``Re<alpha, c>`` for a map into level ``n + 1``.
+
+    ``alpha_j`` is the last column of ``Phi(Omega_j)`` above the corner, so
+    ``Re<alpha_j, c_j> = tr(S_j Phi(Omega_j))`` with ``S_j = (c_j e* + e
+    c_j*) / 2``, and the row is that of ``sum_j kron(Omega_j^T, S_j)``.
+    """
+    g, n = c.shape
+    d = omega.shape[1]
+    e_last = np.zeros(n + 1)
+    e_last[n] = 1.0
+    cvec = np.zeros((g, n + 1), dtype=complex)
+    cvec[:, :n] = c
+    s = 0.5 * (cvec[:, :, None] * e_last[None, None, :]
+               + e_last[None, :, None] * cvec.conj()[:, None, :])
+    terms = np.transpose(omega, (0, 2, 1))[:, :, None, :, None] * s[:, None, :, None, :]
+    mat = terms.sum(axis=0).reshape(d * (n + 1), d * (n + 1))
+    return linalg.herm_to_vec(linalg.hermitian_part(mat))
+
+
 @dataclass
 class HullBoundaryReport:
     status: str
@@ -587,11 +611,8 @@ class HullBoundaryReport:
 def arveson_in_hull(
     omega,
     x,
-    directions: int = 6,
     seed=0,
     tol: float = TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int = 4000,
     delta: float = 1e-2,
 ) -> HullBoundaryReport:
     """Column-dilation test for the Arveson boundary of ``mco({Omega})``.
@@ -605,7 +626,7 @@ def arveson_in_hull(
     """
     omega = pencil.as_tuple(omega, what="generator tuple")
     x = pencil.as_tuple(x, what="point")
-    base_rep = hull_membership(omega, x, tol=tol, feas_tol=feas_tol, max_iter=max_iter)
+    base_rep = hull_membership(omega, x, tol=tol, max_iter=BOUNDARY_MAX_ITER)
     if base_rep.status == NOT_MEMBER:
         raise InputError("point is not in the hull; Arveson test needs a member")
     g, n = x.shape[0], x.shape[1]
@@ -617,36 +638,22 @@ def arveson_in_hull(
     sel[:n, :n] = np.eye(n)
     rows, rhs = _unitality_rows(d, n + 1)
     mrows, mrhs = _matching_rows(omega, list(x), block=sel)
-    rows += mrows
-    rhs += mrhs
-    rows = np.array(rows, dtype=float)
-    rhs = np.array(rhs, dtype=float)
-
-    e_last = np.zeros(n + 1)
-    e_last[n] = 1.0
+    rows = np.vstack([rows, mrows])
+    rhs = np.concatenate([rhs, mrhs, [delta]])
 
     tried = 0
     for attempt_seed in (seed, None if seed is None else seed + 104729):
         rng = linalg.default_rng(attempt_seed)
-        for c in _alpha_directions(g, n, directions, rng):
+        for c in _alpha_directions(g, n, BOUNDARY_DIRECTIONS, rng):
             tried += 1
-            norm_mat = np.zeros((d * (n + 1), d * (n + 1)), dtype=complex)
-            for j in range(g):
-                # functional Re<alpha_j, c_j> = tr(S_j Y_j) with
-                # S_j = (c_j e* + e c_j*) / 2 acting on the dilated level
-                cvec = np.zeros(n + 1, dtype=complex)
-                cvec[:n] = c[j]
-                sj = 0.5 * (np.outer(cvec, e_last) + np.outer(e_last, cvec.conj()))
-                norm_mat += np.kron(omega[j].T, sj)
-            norm_row = linalg.herm_to_vec(linalg.hermitian_part(norm_mat))
             problem = FeasibilityProblem(
                 dim=d * (n + 1),
                 base=np.zeros((d * (n + 1), d * (n + 1)), dtype=complex),
                 generators=None,
-                extra=np.vstack([rows, norm_row]),
-                extra_rhs=np.concatenate([rhs, [delta]]),
+                extra=np.vstack([rows, _column_row(omega, c)]),
+                extra_rhs=rhs,
             )
-            res = solve_affine_psd(problem, max_iter=max_iter, tol=feas_tol)
+            res = solve_affine_psd(problem, max_iter=BOUNDARY_MAX_ITER)
             if not res.feasible:
                 continue
             dilated = np.stack(
@@ -656,8 +663,7 @@ def arveson_in_hull(
             beta = dilated[:, n, n].real
             if np.linalg.norm(alpha) < 0.25 * delta:
                 continue
-            check = hull_membership(omega, dilated, tol=tol, feas_tol=feas_tol,
-                                    max_iter=max_iter)
+            check = hull_membership(omega, dilated, tol=tol, max_iter=BOUNDARY_MAX_ITER)
             if check.status == MEMBER:
                 return HullBoundaryReport(NOT_BOUNDARY, alpha, beta, dilated, tried)
     return HullBoundaryReport(BOUNDARY, None, None, None, tried)
@@ -689,7 +695,6 @@ def polar_dual_check(
     samples: int = 100,
     seed=0,
     tol: float = TOL,
-    battery: int = 4,
 ) -> PolarDualReport:
     """Sampled two-sided check of hull/spectrahedron polar duality.
 
@@ -702,7 +707,7 @@ def polar_dual_check(
     g, d = omega.shape[0], omega.shape[1]
     rng = linalg.default_rng(seed)
     members = [omega]
-    for _ in range(battery):
+    for _ in range(DUAL_BATTERY):
         m = int(rng.integers(1, 3))
         size = int(rng.integers(1, m * d + 1))
         v = linalg.random_isometry(size, m * d, rng)
@@ -750,14 +755,7 @@ class DropMembershipReport:
         return out
 
 
-def spectrahedrop_membership(
-    a,
-    visible: int,
-    x,
-    tol: float = TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int = 5000,
-) -> DropMembershipReport:
+def spectrahedrop_membership(a, visible: int, x) -> DropMembershipReport:
     """Membership of ``x`` in the projection of a spectrahedron.
 
     The pencil ``a`` has ``visible`` visible variables followed by hidden
@@ -776,26 +774,16 @@ def spectrahedrop_membership(
     base = pencil.eval_monic(a[:visible], x)
     if hidden_count == 0:
         me = linalg.min_eig(base)
-        status = MEMBER if me >= -feas_tol else NO_CERTIFICATE
+        status = MEMBER if me >= -FEAS_TOL else NO_CERTIFICATE
         return DropMembershipReport(status, None, residual=max(0.0, -me))
     basis = linalg.herm_basis(n)
-    gens = []
-    for h in range(hidden_count):
-        for bmat in basis:
-            gens.append(-np.kron(a[visible + h], bmat))
-    problem = FeasibilityProblem(dim=d * n, base=base, generators=np.stack(gens))
-    res = solve_affine_psd(problem, max_iter=max_iter, tol=feas_tol)
+    problem = FeasibilityProblem(dim=d * n, base=base,
+                                 generators=-_kron_pairs(a[visible:], basis))
+    res = solve_affine_psd(problem)
     if not res.feasible:
         return DropMembershipReport(NO_CERTIFICATE, None, residual=res.residual)
-    nb = n * n
-    hidden = np.stack(
-        [
-            linalg.hermitian_part(
-                sum(res.s[h * nb + b] * basis[b] for b in range(nb))
-            )
-            for h in range(hidden_count)
-        ]
-    )
+    hidden = np.tensordot(res.s.reshape(hidden_count, n * n), basis, axes=1)
+    hidden = (hidden + hidden.conj().transpose(0, 2, 1)) / 2
     # report the true residual of the recovered completion
     full = np.concatenate([x, hidden])
     me = linalg.min_eig(pencil.eval_monic(a, full))

@@ -124,25 +124,31 @@ def herm_to_vec(a) -> np.ndarray:
 
     Layout: diagonal entries, then sqrt(2)*Re of the strict upper triangle,
     then sqrt(2)*Im of it; the Frobenius norm equals the 2-norm of the vector.
+    A stack ``(..., n, n)`` maps to a stack of vectors ``(..., n*n)``.
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
+    n = a.shape[-1]
     iu = np.triu_indices(n, k=1)
+    upper = a[..., iu[0], iu[1]]
     return np.concatenate(
-        [a.diagonal().real, np.sqrt(2.0) * a[iu].real, np.sqrt(2.0) * a[iu].imag]
+        [np.diagonal(a, axis1=-2, axis2=-1).real, np.sqrt(2.0) * upper.real,
+         np.sqrt(2.0) * upper.imag],
+        axis=-1,
     )
 
 
 def vec_to_herm(x, n: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_vec` for an ``n x n`` Hermitian matrix."""
+    """Inverse of :func:`herm_to_vec` for ``n x n`` Hermitian matrices
+    (a stack of vectors ``(..., n*n)`` gives a stack ``(..., n, n)``)."""
     x = np.asarray(x, dtype=float)
     m = n * (n - 1) // 2
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
     iu = np.triu_indices(n, k=1)
-    a[np.diag_indices(n)] = x[:n]
-    upper = (x[n:n + m] + 1j * x[n + m:n + 2 * m]) / np.sqrt(2.0)
-    a[iu] = upper
-    a[(iu[1], iu[0])] = upper.conj()
+    diag = np.arange(n)
+    a[..., diag, diag] = x[..., :n]
+    upper = (x[..., n:n + m] + 1j * x[..., n + m:n + 2 * m]) / np.sqrt(2.0)
+    a[..., iu[0], iu[1]] = upper
+    a[..., iu[1], iu[0]] = upper.conj()
     return a
 
 

@@ -125,6 +125,15 @@ def test_drop_member_tv_exceptional(files, capsys):
     assert np.abs(w_hat - ex["w"]).max() < 1e-6
 
 
+def test_drop_member_takes_no_tol(files, capsys):
+    # the projected-membership solver has no tolerance for --tol to set
+    entry = gallery.tv_lift(1.0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["drop-member", "--pencil", files("tv", entry),
+                  "--point", files("x", np.zeros((2, 1, 1))), "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
 def test_drop_member_requires_visible(files, capsys):
     entry = gallery.tv_lift(1.0)
     code, _ = run(capsys, "drop-member",

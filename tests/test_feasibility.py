@@ -105,6 +105,55 @@ def test_base_offset_handled():
     assert res.feasible
 
 
+SZ = np.diag([1.0, -1.0]).astype(complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def test_generator_mode_dependent_generators_recovers_s():
+    # G_2 = G_0 + G_1 makes the generators dependent; s_0 + s_2 = 1 leaves
+    # Z = I + (s_1 + s_2) sigma_z + s_3 sigma_x, PSD on a disk
+    gens = np.stack([np.eye(2, dtype=complex), SZ, np.eye(2) + SZ, SX])
+    base = 0.1 * SX
+    extra, rhs = np.array([[1.0, 0.0, 1.0, 0.0]]), np.array([1.0])
+    res = F.solve_affine_psd(F.FeasibilityProblem(dim=2, base=base, generators=gens,
+                                                  extra=extra, extra_rhs=rhs))
+    assert res.feasible
+    assert np.abs(extra @ res.s - rhs).max() < 1e-8
+    assert np.abs(base + np.tensordot(res.s, gens, axes=1) - res.z).max() < 1e-8
+    assert linalg.min_eig(res.z) >= -1e-6
+
+
+def test_generator_mode_inconsistent_rows():
+    gens = np.stack([SZ, SX])
+    prob = F.FeasibilityProblem(dim=2, base=np.eye(2), generators=gens,
+                                extra=[[1.0, 0.0], [2.0, 0.0]], extra_rhs=[1.0, 1.0])
+    res = F.solve_affine_psd(prob)
+    assert res.status == F.NO_CERTIFICATE
+    assert res.iterations == 0
+    assert res.residual == np.inf
+
+
+RIGID = {
+    "pinned generators": dict(generators=np.stack([SZ, SX]), extra=np.eye(2),
+                              extra_rhs=np.zeros(2)),
+    "zero generators": dict(generators=np.zeros((2, 2, 2))),
+    "pinned Choi form": dict(extra=np.eye(4), extra_rhs=np.zeros(4)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RIGID))
+@pytest.mark.parametrize("diag,feasible", [((1.0, 2.0), True), ((1.0, -1.0), False)])
+def test_rigid_family(family, diag, feasible):
+    # no free direction: Z = base is the only candidate
+    base = np.diag(diag).astype(complex)
+    res = F.solve_affine_psd(F.FeasibilityProblem(dim=2, base=base, **RIGID[family]))
+    assert res.feasible == feasible
+    assert np.abs(res.z - base).max() < 1e-12
+    if not feasible:
+        assert res.status == F.NO_CERTIFICATE
+        assert res.residual >= 1.0 - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Choi problems and hull membership
 # ---------------------------------------------------------------------------
@@ -177,6 +226,44 @@ def test_hull_membership_in_spectrahedron_but_not_hull():
     # itself, so no certificate can exist; the solver must not invent one
     rep = F.hull_membership(NAIMARK, scalar_pair(4.0, -1.0))
     assert rep.status == F.NO_CERTIFICATE
+
+
+def _herm_pairing(row, h, rng):
+    """``row . herm_to_vec(Z)`` against ``tr(H Z)`` for a random Hermitian Z."""
+    z = linalg.random_herm(h.shape[0], rng)
+    return float(row @ linalg.herm_to_vec(z)), float(np.trace(h @ z).real)
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (3, 2)])
+def test_choi_rows_pair_with_their_matrices(d, n):
+    rng = linalg.default_rng(d + 10 * n)
+    omega = linalg.random_herm_tuple(2, d, rng)
+    targets = list(linalg.random_herm_tuple(2, n, rng))
+    basis = linalg.herm_basis(n)
+    rows, rhs = F._unitality_rows(d, n)
+    assert rows.shape == (n * n, (d * n) ** 2)
+    for row, h, r in zip(rows, basis, rhs):
+        got, want = _herm_pairing(row, np.kron(np.eye(d), h), rng)
+        assert abs(got - want) < 1e-12
+        assert r == np.trace(h).real
+    sel = np.zeros((n + 1, n), dtype=complex)
+    sel[:n, :n] = np.eye(n)
+    for block, size in ((None, n), (sel, n + 1)):
+        rows, rhs = F._matching_rows(omega, targets, block=block)
+        assert rows.shape == (2 * n * n, (d * size) ** 2)
+        pairs = [(oj, tj, h) for oj, tj in zip(omega, targets) for h in basis]
+        for row, r, (oj, tj, h) in zip(rows, rhs, pairs):
+            hb = h if block is None else block @ h @ block.conj().T
+            got, want = _herm_pairing(row, np.kron(oj.T, hb), rng)
+            assert abs(got - want) < 1e-12
+            assert abs(r - np.trace(h @ tj).real) < 1e-12
+    c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    s = np.zeros((2, n + 1, n + 1), dtype=complex)
+    s[:, :n, n] = c / 2
+    s[:, n, :n] = c.conj() / 2
+    h = sum(np.kron(oj.T, sj) for oj, sj in zip(omega, s))
+    got, want = _herm_pairing(F._column_row(omega, c), h, rng)
+    assert abs(got - want) < 1e-12
 
 
 def test_choi_problem_shapes():
@@ -304,6 +391,20 @@ def test_drop_membership_tv_origin():
     x = np.zeros((2, 1, 1))
     rep = F.spectrahedrop_membership(tv.pencil, tv.visible_vars, x)
     assert rep.status == F.MEMBER
+
+
+def test_drop_membership_largest_random_shape():
+    # traceless (g, d, n) = (3, 6, 5), the last variable hidden: the
+    # projection of a boundary point of D_A(5) has a completion by construction
+    rng = linalg.default_rng(5)
+    a = linalg.random_herm_tuple(3, 6, rng)
+    a -= np.einsum("gii->g", a).real[:, None, None] / 6 * np.eye(6)
+    h = linalg.random_herm_tuple(3, 5, rng)
+    full = h / linalg.eigh(pencil.eval_hom(a, h)).w[-1]
+    rep = F.spectrahedrop_membership(a, 2, full[:2])
+    assert rep.status == F.MEMBER
+    completed = np.concatenate([full[:2], rep.hidden])
+    assert linalg.min_eig(pencil.eval_monic(a, completed)) >= -1e-6
 
 
 def test_drop_membership_tv_outside():
