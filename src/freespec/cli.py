@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full extreme-point classification")
     p.add_argument("--pencil", required=True)
     p.add_argument("--point", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("member", help="spectrahedron membership")
     p.add_argument("--pencil", required=True)
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hull-member", help="matrix convex hull membership")
     p.add_argument("--generator", required=True)
     p.add_argument("--point", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("include", help="spectrahedron inclusion D_inner ⊆ D_outer")
     p.add_argument("--inner", required=True)

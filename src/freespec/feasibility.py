@@ -2,10 +2,11 @@
 
 The workhorse is :func:`solve_affine_psd`, alternating projections with
 Dykstra's correction between an affine set and the PSD cone. The affine set
-is held as one orthonormal frame in the realified coordinates of ``Z`` (the
+is held as one frame of Frobenius-orthonormal Hermitian matrices (the
 constraint rows in Choi form, the free directions in generator form), so the
-iteration runs on ``Z`` alone and the parameters ``s`` are recovered once at
-the end. On top of it:
+iteration runs on the Hermitian matrix ``Z`` alone, with no change of
+coordinates, and the parameters ``s`` are recovered once at the end. On top
+of it:
 
 * :func:`hull_membership` — is ``X`` in the matrix convex hull of a single
   tuple ``Omega``? Decided through a unital completely positive map
@@ -25,7 +26,7 @@ never reported as proofs of infeasibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -70,7 +71,7 @@ class FeasibilityProblem:
     As a special case ``generators=None`` parameterizes the full Hermitian
     space (Choi form): ``s`` is then the realified coordinate vector of
     ``Z - base`` (see :func:`linalg.herm_to_vec`) and ``extra`` acts on those
-    coordinates. Either way the solver works on the realified ``Z`` alone and
+    coordinates. Either way the solver works on the matrix ``Z`` alone and
     recovers ``s`` at the end (see :func:`solve_affine_psd`).
     """
 
@@ -139,13 +140,16 @@ def _svd(a, full: bool = False):
 
 @dataclass
 class _AffineFrame:
-    """The affine set ``{base + G s : E s = r}`` in realified coordinates.
+    """The affine set ``{base + G s : E s = r}`` as Hermitian ``d x d`` matrices.
 
     ``z0`` is a point of the set (``G`` the identity in Choi form) and
-    ``basis`` has orthonormal columns: in Choi form they span the rows of
-    ``E``, and the set is ``{z : basis^T (z - z0) = 0}``; in generator form
-    they span ``G null(E)``, and the set is ``z0 + range(basis)``, with
-    ``to_s`` mapping coordinates along ``basis`` back to ``s``.
+    ``basis`` is a ``(k, d, d)`` stack of Frobenius-orthonormal Hermitian
+    matrices: in Choi form they are the rows of ``E``, and the set is
+    ``{Z : <B_k, Z - z0> = 0}``; in generator form they span ``G null(E)``,
+    and the set is ``z0 + span(basis)``, with ``to_s`` mapping coordinates
+    along ``basis`` back to ``s``. ``flat`` is the real view of ``basis``
+    (real and imaginary parts interleaved), so one real product gives every
+    ``<B_k, Z>``.
     """
 
     z0: np.ndarray
@@ -153,18 +157,27 @@ class _AffineFrame:
     s0: np.ndarray
     to_s: Optional[np.ndarray]
     consistent: bool
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k, d = self.basis.shape[0], self.z0.shape[0]
+        self.flat = self.basis.reshape(k, d * d).view(float)
+
+    def coords(self, z: np.ndarray) -> np.ndarray:
+        """``<B_k, Z - z0>`` for every basis matrix."""
+        return self.flat @ (z - self.z0).reshape(-1).view(float)
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        coords = self.basis.T @ (z - self.z0)
+        step = (self.coords(z) @ self.flat).view(complex).reshape(z.shape)
         if self.to_s is None:
-            return z - self.basis @ coords
-        return self.z0 + self.basis @ coords
+            return z - step
+        return self.z0 + step
 
     def s_of(self, z: np.ndarray) -> np.ndarray:
-        """The ``s`` of a point ``z`` of the set."""
+        """The ``s`` of a point ``Z`` of the set."""
         if self.to_s is None:
-            return self.s0 + (z - self.z0)
-        return self.s0 + self.to_s @ (self.basis.T @ (z - self.z0))
+            return self.s0 + linalg.herm_to_vec(z - self.z0)
+        return self.s0 + self.to_s @ self.coords(z)
 
 
 def _affine_frame(problem: FeasibilityProblem, gvec: Optional[np.ndarray]) -> _AffineFrame:
@@ -172,20 +185,23 @@ def _affine_frame(problem: FeasibilityProblem, gvec: Optional[np.ndarray]) -> _A
 
     One SVD of ``E`` gives the min-norm ``s0`` with ``E s0 = r`` and the
     consistency check; in generator form a second one, of ``G null(E)``,
-    gives the free directions.
+    gives the free directions. The SVDs run in realified coordinates, and
+    their results are turned into matrices once.
     """
+    d = problem.dim
     rows, rhs = problem.extra, problem.extra_rhs
-    base = linalg.herm_to_vec(problem.base)
     u, sig, vh, k = _svd(rows, full=gvec is not None)
     s0 = vh[:k].T @ ((u[:, :k].T @ rhs) / sig[:k])
     gap = float(np.abs(rows @ s0 - rhs).max(initial=0.0))
     consistent = gap <= 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if gvec is None:
-        return _AffineFrame(base + s0, vh[:k].T, s0, None, consistent)
+        return _AffineFrame(problem.base + linalg.vec_to_herm(s0, d),
+                            linalg.vec_to_herm(vh[:k], d), s0, None, consistent)
     null = vh[k:].T
     u2, sig2, vh2, k2 = _svd(gvec @ null)
     to_s = null @ (vh2[:k2].T / sig2[:k2])
-    return _AffineFrame(base + gvec @ s0, u2[:, :k2], s0, to_s, consistent)
+    return _AffineFrame(problem.base + linalg.vec_to_herm(gvec @ s0, d),
+                        linalg.vec_to_herm(u2[:, :k2].T, d), s0, to_s, consistent)
 
 
 def _residual(problem: FeasibilityProblem, gvec, zmat: np.ndarray, s: np.ndarray) -> float:
@@ -278,9 +294,12 @@ def solve_affine_psd(
 ) -> FeasibilityResult:
     """Alternating projections with Dykstra correction on the PSD side.
 
-    Both problem forms iterate on the realified ``Z`` alone, between the PSD
-    cone and one affine frame (:class:`_AffineFrame`) built once per solve;
-    ``s`` is read off the final iterate through the frame. The reported
+    Both problem forms iterate on the Hermitian matrix ``Z`` alone, between
+    the PSD cone and one affine frame of Hermitian matrices
+    (:class:`_AffineFrame`) built once per solve, so no iteration converts
+    between realified vectors and matrices; ``s`` is read off the final
+    iterate through the frame. The stopping gap is ``max |herm_to_vec(Y -
+    U)|`` of the two projections, read off the matrix entries. The reported
     residual is ``max(affine defect, |min negative eigenvalue|)`` of the
     returned ``(z, s)``; ``feasible`` means it is at most ``tol``. To keep
     convergence linear when the exact feasible set has empty interior, the
@@ -293,25 +312,25 @@ def solve_affine_psd(
     gvec = None if problem.generators is None else linalg.herm_to_vec(problem.generators).T
     frame = _affine_frame(problem, gvec)
     if not frame.consistent:
-        return FeasibilityResult(NO_CERTIFICATE, linalg.vec_to_herm(frame.z0, d), frame.s0,
+        return FeasibilityResult(NO_CERTIFICATE, frame.z0, frame.s0,
                                  residual=np.inf, iterations=0)
 
     floor = -0.5 * tol
-    u = frame.project(np.zeros(d * d))
-    corr = np.zeros(d * d)
+    u = frame.project(np.zeros((d, d), dtype=complex))
+    corr = np.zeros((d, d), dtype=complex)
     best, best_u = np.inf, u
     checkpoint = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         # projection onto Z >= floor * I with Dykstra correction
         v = u + corr
-        w, vecs = linalg.eigh(linalg.vec_to_herm(v, d))
+        w, vecs = linalg.eigh(v)
         zclip = (vecs * np.maximum(w, floor)) @ vecs.conj().T
-        y = linalg.herm_to_vec(linalg.hermitian_part(zclip))
+        y = linalg.hermitian_part(zclip)
         corr = v - y
         # affine projection; the y-u gap bounds both constraint violations
         u = frame.project(y)
-        gap = float(np.abs(y - u).max(initial=0.0))
+        gap = linalg.herm_abs_max(y - u)
         if gap < best:
             best, best_u = gap, u
         if best <= 0.25 * tol:
@@ -322,18 +341,19 @@ def solve_affine_psd(
                 break
             checkpoint = best
 
-    zmat = linalg.vec_to_herm(best_u, d)
-    s = frame.s_of(best_u)
+    zmat = best_u
+    s = frame.s_of(zmat)
     residual = _residual(problem, gvec, zmat, s)
     if residual > 0.25 * tol:
         # boundary-touching solutions defeat plain alternating projections;
         # finish with Gauss-Newton steps that stay inside the affine set
         if gvec is None:
-            moves = to_s = linalg.null_space(problem.extra).real
+            to_s = linalg.null_space(problem.extra).real
+            dirs = linalg.vec_to_herm(to_s.T, d)
         else:
-            moves, to_s = frame.basis, frame.to_s
-        if moves.shape[1]:
-            z_new, y_new, _ = _eigenblock_polish(zmat, linalg.vec_to_herm(moves.T, d), tol)
+            dirs, to_s = frame.basis, frame.to_s
+        if dirs.shape[0]:
+            z_new, y_new, _ = _eigenblock_polish(zmat, dirs, tol)
             s_new = s + to_s @ y_new
             r_new = _residual(problem, gvec, z_new, s_new)
             if r_new < residual:

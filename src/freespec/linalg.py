@@ -8,6 +8,7 @@ so that tolerances behave sensibly for both tiny and large matrices.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +120,28 @@ def pinv(a, tol: float = TOL) -> np.ndarray:
 # realified coordinates for Hermitian matrices
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _triu(n: int):
+    """Strict upper-triangle index pair of an ``n x n`` matrix, built once
+    per ``n`` and read-only, so no caller can corrupt the cache."""
+    iu = np.triu_indices(n, k=1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
+@lru_cache(maxsize=None)
+def _entry_weights(n: int) -> np.ndarray:
+    """Weights of ``|Re|`` and ``|Im|`` of each entry (interleaved, row-major)
+    in the realified coordinates: ``sqrt(2)`` off the diagonal, ``1`` for the
+    real diagonal, ``0`` for the imaginary diagonal. Read-only."""
+    w = np.full((n, n, 2), np.sqrt(2.0))
+    w[np.arange(n), np.arange(n)] = (1.0, 0.0)
+    w = w.reshape(-1)
+    w.flags.writeable = False
+    return w
+
+
 def herm_to_vec(a) -> np.ndarray:
     """Isometric real coordinates of a Hermitian matrix.
 
@@ -127,9 +150,8 @@ def herm_to_vec(a) -> np.ndarray:
     A stack ``(..., n, n)`` maps to a stack of vectors ``(..., n*n)``.
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    iu = np.triu_indices(n, k=1)
-    upper = a[..., iu[0], iu[1]]
+    rows, cols = _triu(a.shape[-1])
+    upper = a[..., rows, cols]
     return np.concatenate(
         [np.diagonal(a, axis1=-2, axis2=-1).real, np.sqrt(2.0) * upper.real,
          np.sqrt(2.0) * upper.imag],
@@ -143,13 +165,23 @@ def vec_to_herm(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     m = n * (n - 1) // 2
     a = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
+    rows, cols = _triu(n)
     diag = np.arange(n)
     a[..., diag, diag] = x[..., :n]
     upper = (x[..., n:n + m] + 1j * x[..., n + m:n + 2 * m]) / np.sqrt(2.0)
-    a[..., iu[0], iu[1]] = upper
-    a[..., iu[1], iu[0]] = upper.conj()
+    a[..., rows, cols] = upper
+    a[..., cols, rows] = upper.conj()
     return a
+
+
+def herm_abs_max(a: np.ndarray) -> float:
+    """``max |herm_to_vec(a)|`` of a Hermitian matrix, read off its entries.
+
+    ``a`` must be a C-contiguous complex ``(n, n)`` array; nothing is
+    converted, and the result equals the max over the coordinates bitwise.
+    """
+    n = a.shape[-1]
+    return float((np.abs(a.reshape(-1).view(float)) * _entry_weights(n)).max(initial=0.0))
 
 
 def herm_basis(n: int) -> np.ndarray:

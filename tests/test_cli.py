@@ -134,6 +134,18 @@ def test_drop_member_takes_no_tol(files, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,flag", [("classify", "--pencil"),
+                                          ("hull-member", "--generator")])
+def test_deterministic_subcommands_take_no_seed(files, capsys, command, flag):
+    # classify and hull-member draw nothing at random: --seed has nothing to set
+    args = [command, flag, files("a", gallery.cube(2).pencil),
+            "--point", files("x", np.zeros((2, 1, 1)))]
+    assert run(capsys, *args)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--seed", "3"])
+    assert exc.value.code == 2
+
+
 def test_drop_member_requires_visible(files, capsys):
     entry = gallery.tv_lift(1.0)
     code, _ = run(capsys, "drop-member",

@@ -361,3 +361,46 @@ def test_oracle_dilation_is_sound():
     assert v.dilation_found
     z = extreme.column_dilation(np.stack([SZ / 2, SX / 2]), v.alpha, v.beta)
     assert pencil.membership(SPIN, z, tol=1e-5).is_member
+
+
+
+def _herm_tuple(g, n, rng):
+    # one Hermitian matrix after the other, real part drawn before imaginary
+    out = []
+    for _ in range(g):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out.append((z + z.conj().T) / 2)
+    return np.stack(out)
+
+
+def _traceless_pencil(g, d, rng):
+    a = _herm_tuple(g, d, rng)
+    return a - (np.trace(a, axis1=1, axis2=2)[:, None, None] / d) * np.eye(d)
+
+
+def _boundary_draw(a, n, rng):
+    # h / lambda_max(Lam_A(h)) for a random Hermitian direction h
+    h = _herm_tuple(a.shape[0], n, rng)
+    d = a.shape[1]
+    lam = np.einsum("jab,jrs->arbs", a, h).reshape(d * n, d * n)
+    return h / np.linalg.eigvalsh(lam)[-1]
+
+
+def test_oracle_finds_dilation_on_kernel_non_boundary_point():
+    # a non-boundary point whose dilation the oracle once missed on all 14
+    # directions; it now turns up on direction 6, so rounding changes in the
+    # solver loop show here first
+    rng = np.random.default_rng(1)
+    a = _traceless_pencil(2, 2, rng)
+    for n in (1, 1, 2, 2, 3, 3):
+        _boundary_draw(a, n, rng)
+    a = _traceless_pencil(2, 3, rng)
+    for _ in range(2):
+        _boundary_draw(a, 1, rng)
+    x = _boundary_draw(a, 2, rng)
+    kernel = extreme.is_arveson(a, x)
+    assert not kernel.boundary
+    oracle = extreme.dilation_oracle(a, x)
+    assert oracle.dilation_found
+    z = extreme.column_dilation(x, oracle.alpha, oracle.beta)
+    assert linalg.min_eig(pencil.eval_monic(a, z)) >= -1e-6

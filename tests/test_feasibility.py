@@ -155,6 +155,68 @@ def test_rigid_family(family, diag, feasible):
 
 
 # ---------------------------------------------------------------------------
+# the affine frame, held as Hermitian matrices
+# ---------------------------------------------------------------------------
+
+def _random_frame_problem(form, seed):
+    rng = linalg.default_rng(seed)
+    d = 3
+    base = linalg.random_herm(d, rng)
+    if form == "choi":
+        return F.FeasibilityProblem(dim=d, base=base, extra=rng.standard_normal((4, d * d)),
+                                    extra_rhs=rng.standard_normal(4)), None
+    gens = linalg.random_herm_tuple(5, d, rng)
+    prob = F.FeasibilityProblem(dim=d, base=base, generators=gens,
+                                extra=rng.standard_normal((2, 5)),
+                                extra_rhs=rng.standard_normal(2))
+    return prob, linalg.herm_to_vec(gens).T
+
+
+@pytest.mark.parametrize("form", ["choi", "generators"])
+@pytest.mark.parametrize("seed", range(3))
+def test_matrix_frame_matches_realified_projection(form, seed):
+    prob, gvec = _random_frame_problem(form, seed)
+    frame = F._affine_frame(prob, gvec)
+    b = linalg.herm_to_vec(frame.basis).T
+    assert np.abs(b.T @ b - np.eye(b.shape[1])).max() < 1e-12
+    z0 = linalg.herm_to_vec(frame.z0)
+    zmat = linalg.random_herm(prob.dim, linalg.default_rng(100 + seed))
+    z = linalg.herm_to_vec(zmat)
+    coords = b.T @ (z - z0)
+    assert np.abs(frame.coords(zmat) - coords).max() < 1e-12
+    want = z - b @ coords if gvec is None else z0 + b @ coords
+    proj = frame.project(zmat)
+    assert np.abs(linalg.herm_to_vec(proj) - want).max() < 1e-12
+    # the projection lands in the problem's own affine set
+    s = frame.s_of(proj)
+    lin = linalg.vec_to_herm(s, prob.dim) if gvec is None else np.tensordot(s, prob.generators, 1)
+    assert np.abs(prob.base + lin - proj).max() < 1e-10
+    assert np.abs(prob.extra @ s - prob.extra_rhs).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stopping_gap_reads_realified_max_off_entries(n):
+    rng = linalg.default_rng(n)
+    for _ in range(5):
+        diff = linalg.random_herm(n, rng)
+        assert linalg.herm_abs_max(diff) == np.abs(linalg.herm_to_vec(diff)).max()
+
+
+@pytest.mark.parametrize("family", sorted(RIGID))
+def test_rigid_frame_projects_onto_its_point(family):
+    base = np.diag([1.0, -1.0]).astype(complex)
+    prob = F.FeasibilityProblem(dim=2, base=base, **RIGID[family])
+    gvec = None if prob.generators is None else linalg.herm_to_vec(prob.generators).T
+    frame = F._affine_frame(prob, gvec)
+    if gvec is not None:
+        assert frame.basis.shape == (0, 2, 2)
+    for seed in range(3):
+        zmat = linalg.random_herm(2, linalg.default_rng(seed))
+        assert np.abs(frame.project(zmat) - frame.z0).max() < 1e-12
+    assert np.abs(frame.z0 - base).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Choi problems and hull membership
 # ---------------------------------------------------------------------------
 

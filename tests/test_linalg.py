@@ -34,6 +34,34 @@ def test_herm_vec_inner_products(n, seed):
     assert abs(float(va @ vb) - np.trace(a @ b).real) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_herm_vec_roundtrip_single_and_stacked(n):
+    rng = np.random.default_rng(n)
+    stack = np.stack([np.stack([linalg.random_herm(n, rng) for _ in range(3)])
+                      for _ in range(2)])
+    vecs = linalg.herm_to_vec(stack)
+    assert vecs.shape == (2, 3, n * n)
+    back = linalg.vec_to_herm(vecs, n)
+    assert np.abs(back - stack).max() < 1e-14
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(linalg.herm_to_vec(stack[i, j]), vecs[i, j])
+            assert np.array_equal(linalg.vec_to_herm(vecs[i, j], n), back[i, j])
+    x = rng.standard_normal((4, n * n))
+    assert np.abs(linalg.herm_to_vec(linalg.vec_to_herm(x, n)) - x).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cached_index_maps_are_read_only(n):
+    rows, cols = linalg._triu(n)
+    assert linalg._triu(n)[0] is rows
+    weights = linalg._entry_weights(n)
+    for arr in (rows, cols, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_herm_basis_is_orthonormal(n):
     basis = linalg.herm_basis(n)
