@@ -15,15 +15,24 @@ Failed tests return verified witnesses: a perturbation ``Y`` with
 that is again a member. The step ``t`` has a closed form in
 ``S = (L_A(X) + (WITNESS_TOL/2) I)^{-1/2}``; a point whose ``L_A(X)`` dips
 below ``-WITNESS_TOL/2``, or a witness that fails its direct membership
-check at ``-WITNESS_TOL``, raises ``NumericalError``. :func:`classify` runs
-every test once. :func:`dilation_oracle` is an independent
-feasibility-solver route to the same dilation question, kept deliberately
-separate from the kernel test so the two can cross-check each other.
+check at ``-WITNESS_TOL``, raises ``NumericalError``.
+
+Each call evaluates ``L_A(X)`` and eigendecomposes it once, in a private
+point context that holds the validated tuples, ``L_A(X)``, its
+eigendecomposition, the membership verdict read from it and, when a witness
+step asks for it, ``S`` from the same decomposition. :func:`classify` builds
+one context per point and hands it to every kernel test it runs, so each
+test runs once and ``L_A(X)`` is decomposed once; only the witness checks
+evaluate the pencil again, at the perturbed or dilated tuples.
+:func:`dilation_oracle` is an independent feasibility-solver route to the
+same dilation question, kept deliberately separate from the kernel test so
+the two can cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,15 +53,44 @@ ORACLE_MAX_ITER = 4000
 ORACLE_STALL_WINDOW = 200
 
 
-def _require_member(a, x, tol):
-    a = pencil.as_tuple(a, what="pencil")
-    _, x = pencil.check_compatible(a, x)
-    rep = pencil.membership(a, x, tol=tol)
-    if rep.status == pencil.OUTSIDE:
-        raise InputError(
-            f"point is outside the spectrahedron (min_eig {rep.min_eig:.3e})"
-        )
-    return a, x, rep
+class _Point:
+    """``L = L_A(X)`` of one point, evaluated and eigendecomposed once.
+
+    Holds the validated pencil ``a`` and point ``x``, ``l``, its
+    eigendecomposition ``eig`` and the ``membership`` verdict read from it.
+    Lives for one public call; nothing is kept between calls.
+    """
+
+    def __init__(self, a, x, tol: float):
+        self.a = pencil.as_tuple(a, what="pencil")
+        _, self.x = pencil.check_compatible(self.a, x)
+        self.l = pencil.eval_monic(self.a, self.x)
+        self.eig = linalg.eigh(self.l)
+        self.membership = pencil.membership_from_eig(self.eig, tol=tol)
+
+    def member(self) -> _Point:
+        """This point, or ``InputError`` when it lies outside the set."""
+        if self.membership.status == pencil.OUTSIDE:
+            raise InputError(
+                f"point is outside the spectrahedron (min_eig {self.membership.min_eig:.3e})"
+            )
+        return self
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """``S = (L + (WITNESS_TOL/2) I)^{-1/2}`` from the same decomposition.
+
+        Witness steps aim at ``min_eig >= -WITNESS_TOL/2``, which leaves half
+        the slack for rounding before the direct check at ``-WITNESS_TOL``.
+        """
+        w, v = self.eig
+        w = w + WITNESS_TOL / 2
+        if w[0] <= 0.0:
+            raise NumericalError(
+                f"L_A(X) has min_eig {w[0] - WITNESS_TOL / 2:.3e} below "
+                f"-{WITNESS_TOL / 2:.1e}; no witness step can be verified"
+            )
+        return (v / np.sqrt(w)) @ v.conj().T
 
 
 def column_dilation(x, alpha, beta=None) -> np.ndarray:
@@ -77,22 +115,6 @@ def column_dilation(x, alpha, beta=None) -> np.ndarray:
     out[:, n, :n] = alpha.conj()
     out[:, n, n] = beta
     return out
-
-
-def _shifted_inv_sqrt(a, x) -> np.ndarray:
-    """``S = (L_A(X) + (WITNESS_TOL/2) I)^{-1/2}`` from one eigendecomposition.
-
-    Witness steps aim at ``min_eig >= -WITNESS_TOL/2``, which leaves half the
-    slack for rounding before the direct check at ``-WITNESS_TOL``.
-    """
-    w, v = linalg.eigh(pencil.eval_monic(a, x))
-    w = w + WITNESS_TOL / 2
-    if w[0] <= 0.0:
-        raise NumericalError(
-            f"L_A(X) has min_eig {w[0] - WITNESS_TOL / 2:.3e} below "
-            f"-{WITNESS_TOL / 2:.1e}; no witness step can be verified"
-        )
-    return (v / np.sqrt(w)) @ v.conj().T
 
 
 def _verified(t: float, worst: float, what: str) -> float:
@@ -155,7 +177,7 @@ def _euclidean_system(a, kernel, basis):
     return np.vstack([m.real, m.imag])
 
 
-def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
+def is_euclidean_extreme(a, x, tol: float = TOL, *, _point=None) -> EuclideanVerdict:
     """Kernel test for Euclidean (classical) extreme points.
 
     Interior points are never extreme; the witness is then the first
@@ -169,18 +191,19 @@ def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
     outside by more than half the witness slack) or the witness fails its
     direct membership check at ``-WITNESS_TOL``.
     """
-    a, x, rep = _require_member(a, x, tol)
-    g, n = a.shape[0], x.shape[1]
+    p = _point or _Point(a, x, tol).member()
+    rep = p.membership
+    g, n = p.a.shape[0], p.x.shape[1]
     basis = linalg.herm_basis(n)
 
     if rep.status == pencil.INTERIOR:
         witness = np.zeros((g, n, n), dtype=complex)
         witness[0] = np.eye(n) / np.sqrt(n)
-        t = _scale_witness(a, x, witness)
+        t = _scale_witness(p, witness)
         return EuclideanVerdict(False, witness, t, kernel_dim=0,
                                 solution_dim=g * n * n)
 
-    system = _euclidean_system(a, rep.kernel, basis)
+    system = _euclidean_system(p.a, rep.kernel, basis)
     null = linalg.null_space(system, tol=tol)
     if null.shape[1] == 0:
         return EuclideanVerdict(True, None, None,
@@ -190,17 +213,16 @@ def is_euclidean_extreme(a, x, tol: float = TOL) -> EuclideanVerdict:
         [np.tensordot(y[j * n * n:(j + 1) * n * n], basis, axes=1) for j in range(g)]
     )
     witness = witness / np.linalg.norm(witness)
-    t = _scale_witness(a, x, witness)
+    t = _scale_witness(p, witness)
     return EuclideanVerdict(False, witness, t, kernel_dim=rep.kernel.shape[1],
                             solution_dim=null.shape[1])
 
 
-def _scale_witness(a, x, y) -> float:
-    s = _shifted_inv_sqrt(a, x)
-    top = float(np.abs(linalg.eigh(s @ pencil.eval_hom(a, y) @ s).w).max())
+def _scale_witness(p: _Point, y) -> float:
+    top = float(np.abs(linalg.eigh(p.s @ pencil.eval_hom(p.a, y) @ p.s).w).max())
     t = 1.0 / max(1.0, top)
-    worst = min(linalg.min_eig(pencil.eval_monic(a, x + t * y)),
-                linalg.min_eig(pencil.eval_monic(a, x - t * y)))
+    worst = min(linalg.min_eig(pencil.eval_monic(p.a, p.x + t * y)),
+                linalg.min_eig(pencil.eval_monic(p.a, p.x - t * y)))
     return _verified(t, worst, "perturbation witness")
 
 
@@ -253,7 +275,7 @@ def _arveson_system(a, kernel, n):
     return coef.transpose(0, 3, 1, 2).reshape(-1, g * n)
 
 
-def is_arveson(a, x, tol: float = TOL) -> ArvesonVerdict:
+def is_arveson(a, x, tol: float = TOL, *, _point=None) -> ArvesonVerdict:
     """Kernel test for membership in the Arveson boundary.
 
     ``X`` is in the boundary exactly when no nonzero column tuple ``alpha``
@@ -264,32 +286,32 @@ def is_arveson(a, x, tol: float = TOL) -> ArvesonVerdict:
     ``t = min(1, sqrt((1 + WITNESS_TOL/2) / ||S C||^2))`` with ``S`` as in
     :func:`is_euclidean_extreme`, whose ``NumericalError`` contract it shares.
     """
-    a, x, rep = _require_member(a, x, tol)
-    g, n = a.shape[0], x.shape[1]
+    p = _point or _Point(a, x, tol).member()
+    rep = p.membership
+    g, n = p.a.shape[0], p.x.shape[1]
 
     if rep.status == pencil.INTERIOR:
         alpha = np.zeros((g, n), dtype=complex)
         alpha[0, 0] = 1.0
-        t = _scale_alpha(a, x, alpha)
+        t = _scale_alpha(p, alpha)
         return ArvesonVerdict(False, alpha, t, kernel_dim=0, solution_dim=g * n)
 
-    system = _arveson_system(a, rep.kernel, n)
+    system = _arveson_system(p.a, rep.kernel, n)
     null = linalg.null_space(system, tol=tol)
     if null.shape[1] == 0:
         return ArvesonVerdict(True, None, None, kernel_dim=rep.kernel.shape[1],
                               solution_dim=0)
     alpha = null[:, -1].reshape(g, n)
     alpha = alpha / np.linalg.norm(alpha)
-    t = _scale_alpha(a, x, alpha)
+    t = _scale_alpha(p, alpha)
     return ArvesonVerdict(False, alpha, t, kernel_dim=rep.kernel.shape[1],
                           solution_dim=null.shape[1])
 
 
-def _scale_alpha(a, x, alpha) -> float:
-    s = _shifted_inv_sqrt(a, x)
-    top = np.linalg.norm(s @ pencil.eval_hom_col(a, alpha), 2) ** 2 / (1 + WITNESS_TOL / 2)
+def _scale_alpha(p: _Point, alpha) -> float:
+    top = np.linalg.norm(p.s @ pencil.eval_hom_col(p.a, alpha), 2) ** 2 / (1 + WITNESS_TOL / 2)
     t = 1.0 / np.sqrt(max(1.0, top))
-    worst = linalg.min_eig(pencil.eval_monic(a, column_dilation(x, t * alpha)))
+    worst = linalg.min_eig(pencil.eval_monic(p.a, column_dilation(p.x, t * alpha)))
     return _verified(t, worst, "column dilation")
 
 
@@ -361,8 +383,10 @@ class MatrixExtremeReport:
         return {"status": self.status, "reason": self.reason}
 
 
-def _verdicts(a, x, tol):
-    return (is_euclidean_extreme(a, x, tol=tol), is_arveson(a, x, tol=tol),
+def _verdicts(p: _Point, x, tol):
+    """The three kernel tests on one member point, sharing its context."""
+    return (is_euclidean_extreme(p.a, p.x, tol=tol, _point=p),
+            is_arveson(p.a, p.x, tol=tol, _point=p),
             is_irreducible(x, tol=tol))
 
 
@@ -395,12 +419,12 @@ def _sandwich(euc, arv, irr) -> tuple[AbsoluteVerdict, MatrixExtremeReport]:
 
 def is_absolute_extreme(a, x, tol: float = TOL) -> AbsoluteVerdict:
     """Absolute extreme points are the irreducible Arveson boundary points."""
-    return _sandwich(*_verdicts(a, x, tol))[0]
+    return _sandwich(*_verdicts(_Point(a, x, tol).member(), x, tol))[0]
 
 
 def matrix_extreme_status(a, x, tol: float = TOL) -> MatrixExtremeReport:
     """Partial test for matrix extreme points; see :func:`_sandwich`."""
-    return _sandwich(*_verdicts(a, x, tol))[1]
+    return _sandwich(*_verdicts(_Point(a, x, tol).member(), x, tol))[1]
 
 
 @dataclass
@@ -420,12 +444,13 @@ class Classification:
 
 
 def classify(a, x, tol: float = TOL) -> Classification:
-    """Membership and every extremality verdict, each kernel test run once."""
-    rep = pencil.membership(a, x, tol=tol)
-    if rep.status == pencil.OUTSIDE:
-        return Classification(rep)
-    euc, arv, irr = _verdicts(a, x, tol)
-    return Classification(rep, euc, arv, irr, *_sandwich(euc, arv, irr))
+    """Membership and every extremality verdict, each kernel test run once
+    on one eigendecomposition of ``L_A(X)``."""
+    p = _Point(a, x, tol)
+    if p.membership.status == pencil.OUTSIDE:
+        return Classification(p.membership)
+    euc, arv, irr = _verdicts(p, x, tol)
+    return Classification(p.membership, euc, arv, irr, *_sandwich(euc, arv, irr))
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +492,13 @@ def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
 
     This deliberately shares no code path with :func:`is_arveson`.
     """
-    a, x, rep = _require_member(a, x, tol)
+    p = _Point(a, x, tol).member()
+    a, x = p.a, p.x
     g, d, n = a.shape[0], a.shape[1], x.shape[1]
-    lx = pencil.eval_monic(a, x)
     dim = d * n + d
 
     base = np.zeros((dim, dim), dtype=complex)
-    base[:d * n, :d * n] = lx
+    base[:d * n, :d * n] = p.l
     base[d * n:, d * n:] = np.eye(d)
 
     # real parameters: alpha over the 2*g*n coordinate directions, then beta

@@ -14,6 +14,8 @@ symmetrized data.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,22 +71,43 @@ def tuple_from_json(obj) -> np.ndarray:
     for key in ("g", "n", "matrices"):
         if key not in obj:
             raise InputError(f"tuple JSON is missing key {key!r}")
-    g, n = int(obj["g"]), int(obj["n"])
+    g, n = _size(obj, "g"), _size(obj, "n")
     mats = obj["matrices"]
+    if not isinstance(mats, list):
+        raise InputError("tuple JSON key 'matrices' must be a list")
     if len(mats) != g:
         raise InputError(f"expected {g} matrices, got {len(mats)}")
+    # every shape is checked before the (g, n, n) array is allocated
+    for j, m in enumerate(mats):
+        if (not isinstance(m, list) or len(m) != n
+                or any(not isinstance(row, list) or len(row) != n for row in m)):
+            raise InputError(f"matrix {j} is not {n}x{n}")
     out = np.zeros((g, n, n), dtype=complex)
     for j, m in enumerate(mats):
-        if len(m) != n or any(len(row) != n for row in m):
-            raise InputError(f"matrix {j} is not {n}x{n}")
         for r, row in enumerate(m):
             for c, entry in enumerate(row):
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                        and all(_is_number(v) for v in entry)):
                     raise InputError(
-                        f"matrix {j} entry ({r},{c}) must be an [re, im] pair"
+                        f"matrix {j} entry ({r},{c}) must be an [re, im] pair of "
+                        "finite numbers"
                     )
                 out[j, r, c] = float(entry[0]) + 1j * float(entry[1])
     return as_tuple(out)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _size(obj: dict, key: str) -> int:
+    """``obj[key]`` as a positive integer; an integral float is accepted."""
+    v = obj[key]
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+        raise InputError(f"tuple JSON key {key!r} must be a positive integer, got {v!r}")
+    return int(v)
 
 
 def read_tuple(path) -> np.ndarray:
@@ -145,14 +168,30 @@ def check_compatible(a, x) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """``0 + terms[0] + terms[1] + ...``, added in this order.
+
+    This rounds as a loop adding one Kronecker product per variable does:
+    ``terms.sum(axis=0)`` sums long stacks pairwise, which can differ in the
+    last bit, and a sum started from ``terms[0]`` keeps its negative zeros.
+    """
+    out = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        out += term
+    return out
+
+
 def eval_hom(a, x) -> np.ndarray:
-    """Homogeneous pencil ``sum_j A_j ⊗ X_j`` of size (d*n, d*n)."""
+    """Homogeneous pencil ``sum_j A_j ⊗ X_j`` of size (d*n, d*n).
+
+    All ``A_j ⊗ X_j`` come from one broadcast product, the elementwise
+    product a Kronecker product is made of, so the result is bitwise equal
+    to adding the Kronecker products one by one to zeros in order of ``j``.
+    """
     a, x = check_compatible(a, x)
     d, n = a.shape[1], x.shape[1]
-    out = np.zeros((d * n, d * n), dtype=complex)
-    for aj, xj in zip(a, x):
-        out += np.kron(aj, xj)
-    return out
+    terms = a[:, :, None, :, None] * x[:, None, :, None, :]
+    return _sum_in_order(terms.reshape(-1, d * n, d * n))
 
 
 def eval_monic(a, x) -> np.ndarray:
@@ -165,6 +204,9 @@ def eval_hom_col(a, alpha) -> np.ndarray:
     """Column evaluation ``sum_j A_j ⊗ alpha_j`` of shape (d*n, d).
 
     ``alpha`` is a g-tuple of column vectors in C^n, passed as a (g, n) array.
+    Built like :func:`eval_hom`, from one broadcast product, and bitwise equal
+    to adding the Kronecker products of ``A_j`` with ``alpha_j`` as an
+    ``(n, 1)`` column one by one to zeros in order of ``j``.
     """
     a = np.asarray(a, dtype=complex)
     alpha = np.asarray(alpha, dtype=complex)
@@ -172,8 +214,9 @@ def eval_hom_col(a, alpha) -> np.ndarray:
         alpha = alpha[None]
     if a.shape[0] != alpha.shape[0]:
         raise InputError("coefficient tuple and column tuple have different g")
-    cols = [np.kron(aj, alj.reshape(-1, 1)) for aj, alj in zip(a, alpha)]
-    return sum(cols)
+    d, n = a.shape[1], alpha.shape[1]
+    terms = a[:, :, None, :] * alpha[:, None, :, None]
+    return _sum_in_order(terms.reshape(-1, d * n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +258,20 @@ class MembershipReport:
 
 def membership(a, x, tol: float = TOL) -> MembershipReport:
     """Classify ``X`` against the free spectrahedron of the pencil ``A``."""
-    l = eval_monic(a, x)
-    w, v = linalg.eigh(l)
+    return membership_from_eig(linalg.eigh(eval_monic(a, x)), tol=tol)
+
+
+def membership_from_eig(eig: linalg.EigDecomp, tol: float = TOL) -> MembershipReport:
+    """The :func:`membership` verdict read off a given eigendecomposition
+    of ``L_A(X)``."""
+    w, v = eig
     me = float(w[0])
     if me > tol:
         status = INTERIOR
-        kernel = np.zeros((l.shape[0], 0), dtype=complex)
+        kernel = np.zeros((v.shape[0], 0), dtype=complex)
     elif me < -tol:
         status = OUTSIDE
-        kernel = np.zeros((l.shape[0], 0), dtype=complex)
+        kernel = np.zeros((v.shape[0], 0), dtype=complex)
     else:
         status = BOUNDARY
         cut = tol * max(1.0, float(np.abs(w).max()))

@@ -27,12 +27,16 @@ def commutant(x, tol: float = TOL) -> np.ndarray:
 
     Returned as a ``(k, n, n)`` stack; ``k >= 1`` always since the identity
     commutes. Row-major vectorization turns each commutator equation into
-    ``(X_j ⊗ I - I ⊗ X_j^T) vec(C) = 0``.
+    ``(X_j ⊗ I - I ⊗ X_j^T) vec(C) = 0``. Each of the two Kronecker terms is
+    built for every ``j`` at once by one broadcast product, bitwise equal to
+    the Kronecker products one ``j`` at a time.
     """
     x = pencil.as_tuple(x, what="tuple")
     n = x.shape[1]
     eye = np.eye(n)
-    rows = np.vstack([np.kron(xj, eye) - np.kron(eye, xj.T) for xj in x])
+    left = x[:, :, None, :, None] * eye[None, None, :, None, :]
+    right = eye[None, :, None, :, None] * x.transpose(0, 2, 1)[:, None, :, None, :]
+    rows = (left - right).reshape(-1, n * n)
     basis = linalg.null_space(rows, tol=tol)
     return basis.T.reshape(-1, n, n)
 

@@ -54,6 +54,33 @@ def wild_corank1_pair(rng, n=2):
             return x.astype(complex), y.astype(complex)
 
 
+def complex_draw(rng, shape, sparse=False):
+    """Gaussian complex array; a sparse draw sets about half of the real and
+    of the imaginary parts to zero, a third of those to negative zero."""
+    parts = [rng.standard_normal(shape) for _ in range(2)]
+    if sparse:
+        for part in parts:
+            zero = rng.random(shape) < 0.5
+            part[zero] = np.where(rng.random(shape) < 1 / 3, -0.0, 0.0)[zero]
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def bits(z):
+    """The 64-bit patterns of a complex array's parts, for bitwise equality
+    that tells negative zero from zero."""
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+#: (g, d, n) shapes for the bitwise tests of the broadcast builders: d = n = 1
+#: with g >= 4, where numpy's pairwise sum over the variables can round
+#: differently from the loop, then random g, d, n in 1..6
+BUILDER_SHAPES = [(g, 1, 1) for g in (4, 5, 6)] * 10 + [
+    tuple(int(v) for v in row) for row in np.random.default_rng(77).integers(1, 7, (60, 3))
+]
+
+
 @pytest.fixture(scope="session")
 def pencil_pool():
     """Bounded pencils across the (g, d) range used by the random batteries."""

@@ -245,6 +245,20 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", [
+    {"g": 1, "n": -1, "matrices": [[]]},
+    {"g": 2, "n": 1, "matrices": [[[["x", 0]]], [[[0, 0]]]]},
+    {"g": "two", "n": 1, "matrices": [[[[0, 0]]], [[[0, 0]]]]},
+])
+def test_classify_malformed_point_exits_2(files, tmp_path, capsys, point):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(point))
+    code = cli.main(["classify", "--pencil", files("a", gallery.cube(2)),
+                     "--point", str(bad)])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_classify_point_outside_half_the_witness_slack_exits_3(files, capsys):
     spin = gallery.spin_disk().pencil
     h = linalg.random_herm_tuple(2, 2, linalg.default_rng(3))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from freespec import gallery, linalg, pencil
 from freespec.errors import InputError
-from conftest import random_bounded_pencil
+from conftest import BUILDER_SHAPES, bits, complex_draw, random_bounded_pencil
 
 
 INTERVAL = gallery.interval().pencil          # A = diag(1, -1), D_A = [-1, 1]
@@ -58,6 +58,30 @@ def test_eval_hom_col_matches_rank_one_point():
     # column evaluation is the hom evaluation against alpha e_0^* blocks
     direct = sum(np.kron(aj, alj.reshape(-1, 1)) for aj, alj in zip(a, alpha))
     assert np.abs(col - direct).max() < 1e-13
+
+
+def kron_loop_hom(a, x):
+    d, n = a.shape[1], x.shape[1]
+    out = np.zeros((d * n, d * n), dtype=complex)
+    for aj, xj in zip(a, x):
+        out += np.kron(aj, xj)
+    return out
+
+
+def kron_loop_col(a, alpha):
+    return sum(np.kron(aj, alj.reshape(-1, 1)) for aj, alj in zip(a, alpha))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_broadcast_evaluation_matches_kron_loops_bitwise(sparse):
+    rng = linalg.default_rng(78 + sparse)
+    for g, d, n in BUILDER_SHAPES:
+        a = complex_draw(rng, (g, d, d), sparse)
+        x = complex_draw(rng, (g, n, n), sparse)
+        alpha = complex_draw(rng, (g, n), sparse)
+        assert np.array_equal(bits(pencil.eval_hom(a, x)), bits(kron_loop_hom(a, x))), (g, d, n)
+        assert np.array_equal(bits(pencil.eval_hom_col(a, alpha)),
+                              bits(kron_loop_col(a, alpha))), (g, d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +262,23 @@ def test_json_gallery_wrapper_unwraps(tmp_path):
     {"n": 2, "matrices": []},                                      # missing g
     {"g": 1, "n": 2, "matrices": [[[[1, 0], [0, 0]]]]},            # ragged row
     {"g": 1, "n": 1, "matrices": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]},  # wrong n
+    {"g": 1, "n": -1, "matrices": [[]]},                           # negative n
+    {"g": 1, "n": 0, "matrices": [[]]},                            # empty point
+    {"g": "two", "n": 1, "matrices": [[[[0, 0]]], [[[0, 0]]]]},    # g not a number
+    {"g": 1.5, "n": 1, "matrices": [[[[0, 0]]]]},                  # g not an integer
+    {"g": 1, "n": 1, "matrices": [[[["x", 0]]]]},                  # entry not a number
+    {"g": 1, "n": 1, "matrices": [[[[float("nan"), 0]]]]},         # entry not finite
+    {"g": 1, "n": 1, "matrices": 5},                               # matrices not a list
+    {"g": 1, "n": 1, "matrices": [5]},                             # matrix not a list
 ])
 def test_json_malformed_rejected(obj):
     with pytest.raises(InputError):
         pencil.tuple_from_json(obj)
+
+
+def test_json_integral_float_sizes_accepted():
+    a = pencil.tuple_from_json({"g": 1.0, "n": 1, "matrices": [[[[2, 0]]]]})
+    assert a.shape == (1, 1, 1) and a[0, 0, 0] == 2
 
 
 def test_non_hermitian_rejected():

@@ -4,6 +4,7 @@ import pytest
 
 from freespec import gallery, linalg, pencil, structure
 from freespec.errors import InputError
+from conftest import BUILDER_SHAPES, bits, complex_draw
 
 PAULI = np.stack([np.diag([1.0, -1.0]),
                   np.array([[0.0, 1.0], [1.0, 0.0]])]).astype(complex)
@@ -38,6 +39,22 @@ def test_commutant_elements_commute():
     basis = structure.commutant(x)
     for b in basis:
         assert np.abs(b @ x[0] - x[0] @ b).max() < 1e-8
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_commutant_rows_match_kron_loop_bitwise(monkeypatch, sparse):
+    rng = linalg.default_rng(90 + sparse)
+    seen = []
+    null_space = linalg.null_space
+    monkeypatch.setattr(linalg, "null_space",
+                        lambda rows, tol: seen.append(rows) or null_space(rows, tol))
+    for g, _, n in BUILDER_SHAPES:
+        z = complex_draw(rng, (g, n, n), sparse)
+        x = pencil.as_tuple((z + z.conj().transpose(0, 2, 1)) / 2)
+        structure.commutant(x)
+        eye = np.eye(n)
+        loop = np.vstack([np.kron(xj, eye) - np.kron(eye, xj.T) for xj in x])
+        assert np.array_equal(bits(seen.pop()), bits(loop)), (g, n)
 
 
 # ---------------------------------------------------------------------------
