@@ -9,6 +9,7 @@ routine fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,8 +229,15 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call: parsing
+    reads it and writes only the fresh namespace it returns."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = _COMMANDS[args.command](args)
     except InputError as exc:

@@ -20,8 +20,11 @@ of it:
 * :func:`spectrahedrop_membership` — membership in a projection of a
   spectrahedron (hidden-variable completion).
 
-``NoCertificate`` outcomes are exactly that: the solver gave up. They are
-never reported as proofs of infeasibility.
+``no_certificate`` outcomes are exactly that: the solver gave up. They are
+never reported as proofs. A Choi-form solve that finds a Farkas certificate
+returns ``infeasible`` with its row multipliers, and :func:`hull_membership`
+turns those into a separating pencil that a reader re-checks with
+``np.kron`` and ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import InputError, NumericalError
 from .linalg import TOL
 
 FEASIBLE = "feasible"
+INFEASIBLE = "infeasible"
 NO_CERTIFICATE = "no_certificate"
 
 MEMBER = "member"
@@ -114,7 +118,11 @@ class FeasibilityResult:
     ``residual`` is ``max(affine defect, |most negative eigenvalue|)`` of the
     returned ``(z, s)``, the affine defect measured against the problem's own
     ``base``, ``generators``, ``extra`` and ``extra_rhs``. ``status`` is
-    feasible / no_certificate only; the solver cannot certify infeasibility.
+    feasible, no_certificate, or (Choi form only) infeasible, a proof that
+    no PSD ``Z`` satisfies the rows. An infeasible result carries the row
+    multipliers ``mu``: the rows ``E_i`` of ``extra``, taken as Hermitian
+    matrices, give ``W = sum_i mu_i E_i``, with ``<W, Z> = <W, base> + mu @
+    extra_rhs`` on the whole affine set (see :meth:`_AffineFrame.farkas`).
     """
 
     status: str
@@ -122,6 +130,7 @@ class FeasibilityResult:
     s: np.ndarray
     residual: float
     iterations: int
+    multipliers: Optional[np.ndarray] = None
 
     @property
     def feasible(self) -> bool:
@@ -149,7 +158,9 @@ class _AffineFrame:
     and the set is ``z0 + span(basis)``, with ``to_s`` mapping coordinates
     along ``basis`` back to ``s``. ``flat`` is the real view of ``basis``
     (real and imaginary parts interleaved), so one real product gives every
-    ``<B_k, Z>``.
+    ``<B_k, Z>``. In Choi form ``to_mu`` maps coordinates along ``basis`` to
+    multipliers of the rows of ``E``, and ``pinned`` says whether ``I`` lies
+    in the row span, so that ``tr Z = tr z0`` on the whole set.
     """
 
     z0: np.ndarray
@@ -157,11 +168,18 @@ class _AffineFrame:
     s0: np.ndarray
     to_s: Optional[np.ndarray]
     consistent: bool
+    to_mu: Optional[np.ndarray] = None
     flat: np.ndarray = field(init=False, repr=False)
+    pinned: bool = field(init=False, default=False)
 
     def __post_init__(self):
         k, d = self.basis.shape[0], self.z0.shape[0]
         self.flat = self.basis.reshape(k, d * d).view(float)
+        if self.to_mu is not None:
+            eye = np.eye(d, dtype=complex)
+            t = self.flat @ eye.reshape(-1).view(float)
+            off = eye - (t @ self.flat).view(complex).reshape(d, d)
+            self.pinned = float(np.linalg.norm(off)) <= 1e-9 * np.sqrt(d)
 
     def coords(self, z: np.ndarray) -> np.ndarray:
         """``<B_k, Z - z0>`` for every basis matrix."""
@@ -178,6 +196,26 @@ class _AffineFrame:
         if self.to_s is None:
             return self.s0 + linalg.herm_to_vec(z - self.z0)
         return self.s0 + self.to_s @ self.coords(z)
+
+    def farkas(self, y: np.ndarray) -> Optional[np.ndarray]:
+        """Row multipliers proving that the set holds no PSD matrix, or None.
+
+        ``W = y - project(y) = sum_k c_k B_k`` lies in the row span, so
+        ``<W, Z> = <W, z0>`` on the whole set, and with the trace pinned
+        ``tr Z = tr z0``. ``W + eps I`` with ``eps = max(0, -lambda_min(W))``
+        is PSD, so a PSD ``Z`` of the set would give ``<W, z0> + eps tr z0 >=
+        0``. A value below ``-1e-9 ||W||_F max(1, tr z0)`` (room for the
+        rounding of both terms) proves that none exists. Only valid when
+        ``pinned``.
+        """
+        c = self.coords(y)
+        w = (c @ self.flat).view(complex).reshape(y.shape)
+        trace = float(np.trace(self.z0).real)
+        eps = max(0.0, -linalg.min_eig(w))
+        value = float(w.reshape(-1).view(float) @ self.z0.reshape(-1).view(float)) + eps * trace
+        if value < -1e-9 * float(np.linalg.norm(c)) * max(1.0, trace):
+            return self.to_mu @ c
+        return None
 
 
 def _affine_frame(problem: FeasibilityProblem, gvec: Optional[np.ndarray]) -> _AffineFrame:
@@ -196,7 +234,8 @@ def _affine_frame(problem: FeasibilityProblem, gvec: Optional[np.ndarray]) -> _A
     consistent = gap <= 1e-9 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if gvec is None:
         return _AffineFrame(problem.base + linalg.vec_to_herm(s0, d),
-                            linalg.vec_to_herm(vh[:k], d), s0, None, consistent)
+                            linalg.vec_to_herm(vh[:k], d), s0, None, consistent,
+                            to_mu=u[:, :k] / sig[:k])
     null = vh[k:].T
     u2, sig2, vh2, k2 = _svd(gvec @ null)
     to_s = null @ (vh2[:k2].T / sig2[:k2])
@@ -307,6 +346,11 @@ def solve_affine_psd(
     still satisfies the residual contract. Iteration stops at ``max_iter`` or
     when a whole ``stall_window`` of iterations did not halve the best gap.
     An empty affine set returns ``no_certificate`` at once (residual ``inf``).
+
+    In Choi form with the trace pinned by the rows, the gap ``y - u`` of
+    iterations 1, 2, 4, 8, ... and of the last one (unless it converged) is
+    tested as a Farkas certificate (:meth:`_AffineFrame.farkas`); the first
+    that passes returns ``infeasible`` with its row multipliers, unpolished.
     """
     d = problem.dim
     gvec = None if problem.generators is None else linalg.herm_to_vec(problem.generators).T
@@ -320,7 +364,8 @@ def solve_affine_psd(
     corr = np.zeros((d, d), dtype=complex)
     best, best_u = np.inf, u
     checkpoint = np.inf
-    it = 0
+    it = checked = 0
+    mu = None
     for it in range(1, max_iter + 1):
         # projection onto Z >= floor * I with Dykstra correction
         v = u + corr
@@ -335,15 +380,24 @@ def solve_affine_psd(
             best, best_u = gap, u
         if best <= 0.25 * tol:
             break
+        if frame.pinned and it & (it - 1) == 0:  # iterations 1, 2, 4, 8, ...
+            checked, mu = it, frame.farkas(y)
+            if mu is not None:
+                break
         if it % stall_window == 0:
             # give up when a whole window brought no real progress
             if best > 0.5 * checkpoint:
                 break
             checkpoint = best
+    if frame.pinned and mu is None and checked < it and best > 0.25 * tol:
+        mu = frame.farkas(y)
 
     zmat = best_u
     s = frame.s_of(zmat)
     residual = _residual(problem, gvec, zmat, s)
+    if mu is not None:
+        return FeasibilityResult(INFEASIBLE, zmat, s, residual=residual, iterations=it,
+                                 multipliers=mu)
     if residual > 0.25 * tol:
         # boundary-touching solutions defeat plain alternating projections;
         # finish with Gauss-Newton steps that stay inside the affine set
@@ -432,11 +486,30 @@ def _stinespring(choi: np.ndarray, d: int, n: int, tol: float = 1e-9):
 
 
 @dataclass
+class SeparatingPencil:
+    """A pencil ``(H_0; H_1, ..., H_g)`` separating ``X`` from ``mco({Omega})``.
+
+    ``S = I_d ⊗ H_0 + sum_j Omega_j^T ⊗ H_j`` is PSD, while ``value = tr H_0
+    + sum_j tr(H_j X_j)`` is negative. Since ``<Omega_j^T ⊗ H, C> = tr(H
+    Phi(Omega_j))`` for the Choi matrix ``C`` of a map ``Phi``, a unital
+    completely positive map with ``Phi(Omega_j) = X_j`` would make ``<S, C>``
+    both ``>= 0`` and equal to ``value``.
+    """
+
+    h: np.ndarray
+    value: float
+
+    def to_json(self) -> dict:
+        return {"h": pencil.tuple_to_json(self.h), "value": self.value}
+
+
+@dataclass
 class HullMembershipReport:
     status: str
     certificate: Optional[ChoiCertificate]
     min_eig: float
     residual: float
+    separator: Optional[SeparatingPencil] = None
 
     @property
     def is_member(self) -> bool:
@@ -446,7 +519,38 @@ class HullMembershipReport:
         out = {"status": self.status, "min_eig": self.min_eig, "residual": self.residual}
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
+        if self.separator is not None:
+            out["separator"] = self.separator.to_json()
         return out
+
+
+def _separating_pencil(omega: np.ndarray, x: np.ndarray, mu: np.ndarray) -> SeparatingPencil:
+    """The separator of a Farkas certificate of :func:`choi_problem`.
+
+    ``mu`` splits into the unitality block and one matching block per
+    variable, each over ``herm_basis(n)``, so ``W = I_d ⊗ H_0 + sum_j
+    Omega_j^T ⊗ H_j`` and ``mu @ rhs = tr H_0 + sum_j tr(H_j X_j)``. Half of
+    the certificate's slack is folded into ``H_0`` as a shift, so that ``S``
+    is PSD with room to spare and the value stays negative; the pair is
+    checked once more as a reader would, and a failure raises
+    ``NumericalError``.
+    """
+    g, d, n = omega.shape[0], omega.shape[1], x.shape[1]
+    h = np.tensordot(mu.reshape(g + 1, n * n), linalg.herm_basis(n), axes=1)
+    left = np.concatenate([np.eye(d, dtype=complex)[None], np.transpose(omega, (0, 2, 1))])
+
+    def check(h):
+        value = float(np.trace(h[0]).real + np.einsum("jab,jba->", h[1:], x).real)
+        return linalg.min_eig(pencil.eval_hom(left, h)), value
+
+    lam, value = check(h)
+    slack = -(value + max(0.0, -lam) * n)
+    h[0] += (max(0.0, -lam) + 0.5 * slack / n) * np.eye(n)
+    lam, value = check(h)
+    if lam < 0 or value >= 0:
+        raise NumericalError(
+            f"separating pencil fails its check (min_eig {lam:.3e}, value {value:.3e})")
+    return SeparatingPencil(h, value)
 
 
 def choi_problem(omega, targets, extra_rows=None, extra_rhs=None) -> FeasibilityProblem:
@@ -485,7 +589,9 @@ def hull_membership(
     Membership is equivalent to the existence of a unital completely positive
     map with ``Omega_j -> X_j``; that is a Choi-matrix feasibility problem.
     When ``Omega`` lies in its own spectrahedron, ``min_eig(L_Omega(X)) < -tol``
-    is a sound fast rejection (the hull lies inside the spectrahedron).
+    is a sound fast rejection (the hull lies inside the spectrahedron). When
+    the solver proves the Choi problem infeasible, ``not_member`` carries a
+    :class:`SeparatingPencil`.
     """
     omega = pencil.as_tuple(omega, what="generator tuple")
     x = pencil.as_tuple(x, what="point")
@@ -497,6 +603,9 @@ def hull_membership(
 
     problem = choi_problem(omega, list(x))
     res = solve_affine_psd(problem, max_iter=max_iter)
+    if res.status == INFEASIBLE:
+        return HullMembershipReport(NOT_MEMBER, None, min_eig=me, residual=res.residual,
+                                    separator=_separating_pencil(omega, x, res.multipliers))
     if not res.feasible:
         return HullMembershipReport(NO_CERTIFICATE, None, min_eig=me, residual=res.residual)
     choi = res.z

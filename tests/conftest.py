@@ -54,6 +54,17 @@ def wild_corank1_pair(rng, n=2):
             return x.astype(complex), y.astype(complex)
 
 
+def separator_holds(omega, x, h):
+    """Re-check a separating pencil ``h = (H_0, ..., H_g)`` of ``X`` from
+    ``mco({Omega})`` with ``np.kron`` and ``eigvalsh`` only."""
+    d = omega.shape[1]
+    s = np.kron(np.eye(d), h[0])
+    for oj, hj in zip(omega, h[1:]):
+        s = s + np.kron(oj.T, hj)
+    value = np.trace(h[0]).real + sum(np.trace(hj @ xj).real for hj, xj in zip(h[1:], x))
+    return np.linalg.eigvalsh(s)[0] >= 0 and value < 0
+
+
 def complex_draw(rng, shape, sparse=False):
     """Gaussian complex array; a sparse draw sets about half of the real and
     of the imaginary parts to zero, a third of those to negative zero."""

@@ -6,7 +6,7 @@ import pytest
 
 from freespec import cli, gallery, linalg, pencil
 from freespec.errors import NumericalError
-from conftest import wild_corank1_pair
+from conftest import separator_holds, wild_corank1_pair
 
 
 def run(capsys, *argv):
@@ -100,6 +100,21 @@ def test_hull_member_vertex_row(files, capsys):
     assert out["status"] == "member"
     assert out["certificate"]["kraus_rank"] >= 1
     assert out["residual"] <= 1e-6
+
+
+def test_hull_member_gap_point_prints_a_separator(files, capsys):
+    # (4, -1) lies in D_N but outside mco(N); the printed pencil proves it
+    naimark = gallery.build("naimark").pencil
+    x = np.array([[[4.0]], [[-1.0]]])
+    out = run_json(capsys, "hull-member",
+                   "--generator", files("om", naimark),
+                   "--point", files("x", x))
+    assert out["status"] == "not_member"
+    assert "certificate" not in out
+    h = pencil.tuple_from_json(out["separator"]["h"])
+    assert h.shape == (3, 1, 1)
+    assert separator_holds(naimark, x, h)
+    assert out["separator"]["value"] < 0
 
 
 def test_include_witness(files, capsys):
@@ -216,6 +231,25 @@ def test_output_is_deterministic(files, capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+def test_consecutive_calls_share_no_state(files, tmp_path, capsys):
+    # the parser is built once per process; a later call must not inherit
+    # the earlier call's options (here --out)
+    target = tmp_path / "verdict.json"
+    code, out = run(capsys, "classify",
+                    "--pencil", files("a", gallery.interval().pencil),
+                    "--point", files("x", np.array([[[0.0]]])),
+                    "--out", str(target))
+    assert code == 0 and out == ""
+    written = target.read_text()
+    code, out = run(capsys, "member",
+                    "--pencil", files("a", gallery.interval().pencil),
+                    "--point", files("x", np.array([[[0.5]]])))
+    assert code == 0
+    assert json.loads(out)["status"] == "interior"
+    assert target.read_text() == written
+    assert json.loads(written)["membership"]["status"] == "interior"
 
 
 def test_gallery_roundtrip_is_lossless(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from freespec import feasibility as F
 from freespec import gallery, linalg, pencil
-from conftest import random_bounded_pencil
+from freespec.errors import InputError
+from conftest import random_bounded_pencil, separator_holds
 
 NAIMARK = gallery.build("naimark").pencil
 CUBE = gallery.cube(2).pencil
@@ -35,12 +36,45 @@ def test_trace_one_psd_feasible():
 
 
 def test_negative_trace_infeasible():
-    # tr Z = -1 with Z PSD has no solution
+    # tr Z = -1 with Z PSD has no solution; W = mu * I proves it
     prob = F.FeasibilityProblem(dim=2, base=np.zeros((2, 2)),
                                 extra=[herm_row(np.eye(2))], extra_rhs=[-1.0])
     res = F.solve_affine_psd(prob)
-    assert res.status == F.NO_CERTIFICATE
+    assert res.status == F.INFEASIBLE
     assert not res.feasible
+    assert res.iterations == 1
+    assert res.multipliers.shape == (1,)
+    assert res.multipliers[0] > 0
+    assert res.multipliers @ prob.extra_rhs < 0
+
+
+def _farkas_holds(prob, mu):
+    """Independent check of a Farkas certificate: ``W = sum_i mu_i E_i`` and
+    ``<W, Z> = <W, base> + mu @ rhs`` on the affine set; the certificate needs
+    the row span to contain ``I`` (the trace is then ``t``) and
+    ``value + max(0, -lambda_min(W)) t < 0``."""
+    w = linalg.vec_to_herm(mu @ prob.extra, prob.dim)
+    value = float(np.trace(w @ prob.base).real + mu @ prob.extra_rhs)
+    eye = linalg.herm_to_vec(np.eye(prob.dim))
+    coef, *_ = np.linalg.lstsq(prob.extra.T, eye, rcond=None)
+    assert np.abs(prob.extra.T @ coef - eye).max() < 1e-9
+    trace = float(np.trace(prob.base).real + coef @ prob.extra_rhs)
+    return value + max(0.0, -np.linalg.eigvalsh(w)[0]) * trace < 0
+
+
+def test_weakly_infeasible_without_pinned_trace_is_not_certified():
+    # z11 = 0 and z12 = 1 on 2x2: no PSD solution, but z22 -> inf comes
+    # arbitrarily close, so no separator exists. I is not in the row span, so
+    # no check runs (one at iteration 1 would wrongly pass), and the solve
+    # ends as it would without the check: within tol, at a huge z22
+    b12 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    prob = F.FeasibilityProblem(dim=2, base=np.zeros((2, 2)),
+                                extra=[herm_row(np.diag([1.0, 0.0])), herm_row(b12)],
+                                extra_rhs=[0.0, 1.0])
+    assert not F._affine_frame(prob, None).pinned
+    res = F.solve_affine_psd(prob)
+    assert res.status != F.INFEASIBLE
+    assert res.multipliers is None
 
 
 def test_generator_mode_feasible():
@@ -150,7 +184,13 @@ def test_rigid_family(family, diag, feasible):
     assert res.feasible == feasible
     assert np.abs(res.z - base).max() < 1e-12
     if not feasible:
-        assert res.status == F.NO_CERTIFICATE
+        # only the Choi form, whose rows pin the trace, looks for a proof
+        if family == "pinned Choi form":
+            assert res.status == F.INFEASIBLE
+            assert _farkas_holds(F.FeasibilityProblem(dim=2, base=base, **RIGID[family]),
+                                 res.multipliers)
+        else:
+            assert res.status == F.NO_CERTIFICATE
         assert res.residual >= 1.0 - 1e-12
 
 
@@ -285,9 +325,87 @@ def test_hull_membership_outside_spectrahedron_rejected():
 
 def test_hull_membership_in_spectrahedron_but_not_hull():
     # (4, -1) is a vertex of D_N at level one but not a compression of N
-    # itself, so no certificate can exist; the solver must not invent one
-    rep = F.hull_membership(NAIMARK, scalar_pair(4.0, -1.0))
-    assert rep.status == F.NO_CERTIFICATE
+    # itself: no membership certificate can exist, and none is invented;
+    # the Choi problem is infeasible, and a separating pencil proves it
+    x = scalar_pair(4.0, -1.0)
+    rep = F.hull_membership(NAIMARK, x)
+    assert rep.status == F.NOT_MEMBER
+    assert rep.certificate is None
+    assert rep.separator.h.shape == (3, 1, 1)
+    assert separator_holds(NAIMARK, x, rep.separator.h)
+    assert rep.to_json()["separator"]["value"] == rep.separator.value < 0
+
+
+SIMPLEX2_VERTS = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+
+
+def test_separators_of_simplex_gap_points():
+    # level-1 points of D_N = {x, y >= -1, x + y <= 3} outside the triangle
+    # spanned by the joint eigenvalue rows of N (mco(N) at level one)
+    rng = linalg.default_rng(11)
+    d_verts = np.array([[-1.0, -1.0], [4.0, -1.0], [-1.0, 4.0]])
+    tri = np.column_stack([SIMPLEX2_VERTS, np.ones(3)])
+    found = 0
+    while found < 6:
+        p = rng.dirichlet(np.ones(3)) @ d_verts
+        bary = np.linalg.solve(tri.T, np.append(p, 1.0))
+        if bary.min() > -0.1:
+            continue
+        found += 1
+        x = scalar_pair(*p)
+        rep = F.hull_membership(NAIMARK, x)
+        assert rep.status == F.NOT_MEMBER, p
+        assert separator_holds(NAIMARK, x, rep.separator.h), p
+    # a level-2 gap point: the direct sum of a hull vertex and a gap point
+    x = pencil.direct_sum([scalar_pair(-1.0, 0.0), scalar_pair(4.0, -1.0)])
+    rep = F.hull_membership(NAIMARK, x)
+    assert rep.status == F.NOT_MEMBER
+    assert rep.separator.h.shape == (3, 2, 2)
+    assert separator_holds(NAIMARK, x, rep.separator.h)
+
+
+def test_separator_pairs_with_choi_matrices():
+    # <Omega_j^T ⊗ H, C> = tr(H Phi(Omega_j)) for the map Phi of a Choi matrix C
+    rng = linalg.default_rng(4)
+    d, n = 3, 2
+    omega = linalg.random_herm_tuple(2, d, rng)
+    c = linalg.random_herm(d * n, rng)
+    h = linalg.random_herm(n, rng)
+    for oj in omega:
+        got = np.trace(np.kron(oj.T, h) @ c).real
+        assert abs(got - np.trace(h @ F.apply_choi(c, oj, d, n)).real) < 1e-12
+
+
+def _stalled_repro(seed):
+    rng = linalg.default_rng(seed)
+    omega = linalg.random_herm_tuple(2, 4, rng)
+    v = linalg.random_isometry(3, 4, rng)
+    return omega, np.stack([v.conj().T @ oj @ v for oj in omega])
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5, 17, 20, 23, 38])
+def test_stalled_members_are_never_separated(seed, monkeypatch):
+    # compressions whose Choi set has no interior; the solver may give up,
+    # but a member must never be called a non-member. Every Farkas check
+    # runs before the polish, which never proves infeasibility, so it is
+    # stubbed out: it takes 90 % of these solves
+    monkeypatch.setattr(F, "_eigenblock_polish",
+                        lambda zmat, dirs, tol: (zmat, np.zeros(dirs.shape[0]), np.inf))
+    omega, x = _stalled_repro(seed)
+    rep = F.hull_membership(omega, x)
+    assert rep.status != F.NOT_MEMBER
+    assert rep.separator is None
+
+
+def test_compressions_are_never_separated():
+    rng = linalg.default_rng(21)
+    for g, d, k, m in [(2, 3, 1, 2), (2, 3, 2, 3), (3, 2, 2, 2), (2, 2, 1, 1), (3, 3, 1, 2),
+                       (2, 2, 2, 3), (2, 3, 1, 1), (3, 2, 1, 2)]:
+        omega = linalg.random_herm_tuple(g, d, rng)
+        v = linalg.random_isometry(m, k * d, rng)
+        amp = pencil.direct_sum([omega] * k)
+        rep = F.hull_membership(omega, np.stack([v.conj().T @ aj @ v for aj in amp]))
+        assert rep.status != F.NOT_MEMBER, (g, d, k, m)
 
 
 def _herm_pairing(row, h, rng):
@@ -401,6 +519,12 @@ def test_arveson_in_hull_barycenter_is_not():
 def test_arveson_in_hull_vertex_row():
     rep = F.arveson_in_hull(NAIMARK, scalar_pair(-1.0, 0.0))
     assert rep.status == F.BOUNDARY
+
+
+def test_arveson_in_hull_rejects_a_separated_non_member():
+    # (4, -1) lies in D_N but outside mco(N): it is no boundary point of the hull
+    with pytest.raises(InputError, match="not in the hull"):
+        F.arveson_in_hull(NAIMARK, scalar_pair(4.0, -1.0))
 
 
 def test_arveson_in_hull_direct_sum_of_rows():
