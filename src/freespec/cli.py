@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="irreducible decomposition of a tuple")
     p.add_argument("--point", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("dual-check", help="sampled polar duality verification")
     p.add_argument("--generator", required=True)
@@ -181,7 +181,7 @@ def _cmd_drop_member(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     x = pencil.read_tuple(args.point)
-    return structure.decompose_irreducibles(x, tol=args.tol, seed=args.seed).to_json()
+    return structure.decompose_irreducibles(x, tol=args.tol).to_json()
 
 
 def _cmd_dual_check(args) -> dict:

@@ -338,23 +338,13 @@ class IrreducibilityVerdict:
 def is_irreducible(x, tol: float = TOL) -> IrreducibilityVerdict:
     """Trivial-commutant test, with a reducing projection as witness.
 
-    The projection splits the spectrum of a non-scalar Hermitian commutant
-    element at its largest eigenvalue gap.
+    The projection is ``V_low V_low*`` from :func:`structure.reducing_split`.
     """
-    x = pencil.as_tuple(x, what="tuple")
-    n = x.shape[1]
-    basis = structure.commutant(x, tol=tol)
-    if basis.shape[0] == 1:
-        return IrreducibilityVerdict(True, 1, None)
-    for c in basis:
-        for h in (linalg.hermitian_part(c), linalg.hermitian_part(1j * c)):
-            if np.linalg.norm(h - np.trace(h) / n * np.eye(n)) < 10 * tol:
-                continue
-            w, v = linalg.eigh(h)
-            cut = int(np.argmax(np.diff(w))) + 1
-            proj = linalg.hermitian_part(v[:, :cut] @ v[:, :cut].conj().T)
-            return IrreducibilityVerdict(False, basis.shape[0], proj)
-    return IrreducibilityVerdict(False, basis.shape[0], None)
+    dim, split = structure.reducing_split(x, tol=tol)
+    if split is None:
+        return IrreducibilityVerdict(dim == 1, dim, None)
+    low = split[0]
+    return IrreducibilityVerdict(False, dim, linalg.hermitian_part(low @ low.conj().T))
 
 
 @dataclass

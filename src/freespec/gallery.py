@@ -6,9 +6,8 @@ hidden coordinate). Alongside the entries live their special-purpose tests:
 
 * the free cube and the symmetry tuples that populate its boundary,
 * the spin disk (commuting boundary pairs are the Arveson boundary),
-* the wild disk ``{I - X^2 - Y^2 >= 0}`` with a closed-form Arveson test,
-  a corank-one explicit dilation builder, and a direct dilation search for
-  vanishing-boundary points,
+* the wild disk ``{I - X^2 - Y^2 >= 0}`` with a closed-form Arveson test
+  and a corank-one explicit dilation builder,
 * the reference simplex in g variables,
 * a pencil in (x, y, w) whose projection to (x, y) is the degree-4 set
   ``{I - X^2 - Y^4 >= 0}`` ("TV screen"), including the distinguished
@@ -24,7 +23,6 @@ import numpy as np
 
 from . import linalg, pencil, structure
 from .errors import InputError
-from .extreme import column_dilation
 from .linalg import TOL
 
 
@@ -331,104 +329,6 @@ def lift_one(x, y, tol: float = TOL) -> LiftOneReport:
 
 
 # ---------------------------------------------------------------------------
-# vanishing boundary of the nonlinear sets
-# ---------------------------------------------------------------------------
-
-def _poly_for(kind: str):
-    polys = {"wild": wild_poly, "tv": tv_poly}
-    if kind not in polys:
-        raise InputError(f"unknown kind {kind!r}; expected one of {sorted(polys)}")
-    return polys[kind]
-
-
-def vanishing_boundary_test(kind: str, x, y, tol: float = TOL) -> bool:
-    """True when the defining polynomial vanishes at a point of the set.
-
-    ``kind`` selects the polynomial: ``"wild"`` for ``I - X^2 - Y^2``,
-    ``"tv"`` for ``I - X^2 - Y^4``. The vanishing boundary consists of
-    points where p(X, Y) is (numerically) the zero matrix; such points
-    admit no one-column dilation staying in the positivity set.
-    """
-    p = _poly_for(kind)(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    w = np.linalg.eigvalsh(p)
-    return bool(abs(w).max() <= tol and w[0] >= -tol)
-
-
-@dataclass
-class DilationSearchReport:
-    """Outcome of the direct one-column dilation search.
-
-    A found dilation certifies that the pair is not in the Arveson boundary
-    of the polynomial's positivity set; not finding one is only evidence.
-    Points where the defining polynomial vanishes identically admit no
-    nontrivial column dilation at all.
-    """
-
-    dilation_found: bool
-    witness: Optional[np.ndarray]
-    candidates: int
-
-    def to_json(self) -> dict:
-        out = {"dilation_found": self.dilation_found, "candidates": self.candidates}
-        if self.witness is not None:
-            out["witness"] = pencil.tuple_to_json(self.witness)
-        return out
-
-
-def dilation_search(
-    kind: str,
-    x,
-    y,
-    trials: int = 24,
-    seed=0,
-    tol: float = 1e-9,
-) -> DilationSearchReport:
-    """Search for one-column dilations staying in ``{p(X, Y) >= 0}``.
-
-    ``kind`` selects the polynomial as in :func:`vanishing_boundary_test`.
-    Candidate columns are coordinate and random directions, scaled down a
-    geometric grid; the dilated pair is accepted when the polynomial stays
-    PSD up to ``tol``. The positivity sets here are not spectrahedra, so the
-    kernel-based boundary test does not apply and this search is the only
-    available route.
-    """
-    poly = _poly_for(kind)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    n = x.shape[0]
-    if linalg.min_eig(poly(x, y)) < -TOL:
-        raise InputError("point is outside the set")
-    rng = linalg.default_rng(seed)
-
-    cands = []
-    for j in range(2):
-        for i in range(n):
-            e = np.zeros((2, n), dtype=complex)
-            e[j, i] = 1.0
-            cands.append((e, np.zeros(2)))
-            e2 = np.zeros((2, n), dtype=complex)
-            e2[j, i] = 1j
-            cands.append((e2, np.zeros(2)))
-    for _ in range(trials):
-        v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        beta = rng.standard_normal(2)
-        cands.append((v / np.linalg.norm(v), beta))
-        cands.append((v / np.linalg.norm(v), np.zeros(2)))
-
-    # the grid floor keeps t^2 well above tol: at a vanishing point the best
-    # achievable min_eig along any nonzero column is ~ -t^2, so letting t
-    # shrink below sqrt(tol) would accept every direction vacuously
-    for alpha, beta in cands:
-        t = 1.0
-        for _ in range(10):
-            z = column_dilation(np.stack([x, y]), t * alpha, t * beta)
-            if linalg.min_eig(poly(z[0], z[1])) >= -tol:
-                return DilationSearchReport(True, z, len(cands))
-            t *= 0.5
-    return DilationSearchReport(False, None, len(cands))
-
-
-# ---------------------------------------------------------------------------
 # reference simplex
 # ---------------------------------------------------------------------------
 
@@ -509,18 +409,6 @@ def tv_lift(a: float = 1.0) -> GalleryEntry:
     )
 
 
-def tv_hat_from_hidden(entry: GalleryEntry, w) -> np.ndarray:
-    """Rescale a hidden completion into hat coordinates: (W + shift I)/scale."""
-    w = np.asarray(w, dtype=complex)
-    if w.ndim == 3:
-        w = w[0]
-    shift = entry.aux.get("hidden_shift")
-    scale = entry.aux.get("hidden_scale")
-    if shift is None or scale is None:
-        raise InputError("entry carries no hidden-coordinate rescaling")
-    return (w + shift * np.eye(w.shape[0])) / scale
-
-
 def tv_exceptional_point() -> dict:
     """Boundary point of the lifted TV set whose projection exits the set.
 
@@ -536,67 +424,6 @@ def tv_exceptional_point() -> dict:
     vals, vecs = linalg.eigh(np.eye(2) - w2)
     x = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     return {"x": x, "y": y, "w": w, "mu": float(mu)}
-
-
-TV_CLASS_NO_GAP = "rank_direction_absent"
-TV_CLASS_PROJECTS_INSIDE = "projection_in_set"
-TV_CLASS_PROJECTS_OUTSIDE = "projection_exits_set"
-
-
-@dataclass
-class TvHatClassification:
-    """Where a boundary point of the lifted TV set sits.
-
-    The lifted (hat) set is ``{(X, Y, W) : I - X^2 - W^2 >= 0, W >= Y^2}``;
-    classified points must satisfy ``I - X^2 - W^2 = 0`` with
-    ``J = W - Y^2`` PSD of rank at most one — ``in_family`` records whether
-    both hold, and when it is false ``label`` is None. The three classes:
-
-    * ``rank_direction_absent``: J = 0, so W = Y^2 is forced.
-    * ``projection_in_set``: J is rank one and (X, Y) stays in the projected
-      set; such points are not Euclidean extreme in the lifted set.
-    * ``projection_exits_set``: J is rank one and ``I - X^2 - Y^4`` is not
-      PSD; W is then the unique admissible hidden coordinate, and (X, Y)
-      lies in the Arveson boundary of the projection but outside the hull of
-      the vanishing pairs of the polynomial.
-    """
-
-    in_family: bool
-    label: Optional[str]
-    j_rank: int
-    poly_min_eig: float
-    reason: str = ""
-
-    def to_json(self) -> dict:
-        return {"in_family": self.in_family, "label": self.label,
-                "j_rank": self.j_rank, "poly_min_eig": self.poly_min_eig,
-                "reason": self.reason}
-
-
-def tv_hat_point_class(x, y, w, tol: float = 1e-8) -> TvHatClassification:
-    """Classify a vanishing boundary point of the lifted TV set (see above)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    n = x.shape[0]
-    me = float(linalg.min_eig(tv_poly(x, y)))
-    defect = float(np.abs(np.eye(n) - x @ x - w @ w).max())
-    j = w - y @ y
-    wj = linalg.eigh(j).w
-    rank = int((np.abs(wj) > tol * max(1.0, float(np.abs(wj).max()))).sum())
-    if defect > 100 * tol:
-        return TvHatClassification(False, None, rank, me,
-                                   f"I - X^2 - W^2 does not vanish (defect {defect:.2e})")
-    if wj[0] < -100 * tol:
-        return TvHatClassification(False, None, rank, me,
-                                   "W - Y^2 is not positive semidefinite")
-    if rank > 1:
-        return TvHatClassification(False, None, rank, me,
-                                   "W - Y^2 has rank > 1; outside the classified family")
-    if rank == 0:
-        return TvHatClassification(True, TV_CLASS_NO_GAP, 0, me)
-    label = TV_CLASS_PROJECTS_INSIDE if me >= -tol else TV_CLASS_PROJECTS_OUTSIDE
-    return TvHatClassification(True, label, 1, me)
 
 
 # ---------------------------------------------------------------------------

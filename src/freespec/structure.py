@@ -1,11 +1,14 @@
 """Structure of Hermitian tuples: commutants, irreducible decomposition,
 unitary equivalence, minimal defining tuples and free simplices.
 
-A tuple is irreducible when its commutant is trivial. ``decompose_irreducibles``
-splits any tuple into a direct sum of irreducibles (grouped into unitary
-equivalence classes with multiplicities), ``unitarily_equivalent`` decides
-simultaneous unitary equivalence, and ``minimal_defining`` prunes summands
-that do not change the free spectrahedron. Free simplices (spectrahedra of
+A tuple is irreducible when its commutant is trivial. ``reducing_split``
+cuts a tuple at the largest spectral gap of a Hermitian commutant element, a
+deterministic rule shared by the irreducibility test and by
+``decompose_irreducibles``, which splits any tuple into a direct sum of
+irreducibles grouped into unitary equivalence classes with multiplicities.
+``intertwiners`` solves ``C X_j = Y_j C`` for the commutant and for
+``unitarily_equivalent``; ``minimal_defining`` prunes summands that do not
+change the free spectrahedron. Free simplices (spectrahedra of
 commuting minimal tuples with g+1 summands) get a normal form onto the fixed
 reference tuple :func:`reference_simplex`.
 """
@@ -22,23 +25,28 @@ from .errors import InputError, NumericalError
 from .linalg import TOL
 
 
-def commutant(x, tol: float = TOL) -> np.ndarray:
-    """Orthonormal basis (Frobenius) of ``{C : C X_j = X_j C for all j}``.
+def intertwiners(x, y, tol: float = TOL) -> np.ndarray:
+    """Orthonormal basis (Frobenius) of ``{C : C X_j = Y_j C for all j}``.
 
-    Returned as a ``(k, n, n)`` stack; ``k >= 1`` always since the identity
-    commutes. Row-major vectorization turns each commutator equation into
-    ``(X_j ⊗ I - I ⊗ X_j^T) vec(C) = 0``. Each of the two Kronecker terms is
+    The tuples share one shape; the basis is a ``(k, n, n)`` stack (``k`` may
+    be 0). Row-major vectorization turns each equation into
+    ``(Y_j ⊗ I - I ⊗ X_j^T) vec(C) = 0``. Each of the two Kronecker terms is
     built for every ``j`` at once by one broadcast product, bitwise equal to
     the Kronecker products one ``j`` at a time.
     """
-    x = pencil.as_tuple(x, what="tuple")
+    x = pencil.as_tuple(x, what="first tuple")
+    y = pencil.as_tuple(y, what="second tuple")
     n = x.shape[1]
     eye = np.eye(n)
-    left = x[:, :, None, :, None] * eye[None, None, :, None, :]
+    left = y[:, :, None, :, None] * eye[None, None, :, None, :]
     right = eye[None, :, None, :, None] * x.transpose(0, 2, 1)[:, None, :, None, :]
     rows = (left - right).reshape(-1, n * n)
-    basis = linalg.null_space(rows, tol=tol)
-    return basis.T.reshape(-1, n, n)
+    return linalg.null_space(rows, tol=tol).T.reshape(-1, n, n)
+
+
+def commutant(x, tol: float = TOL) -> np.ndarray:
+    """The intertwiners of ``x`` with itself; ``k >= 1`` since ``I`` commutes."""
+    return intertwiners(x, x, tol=tol)
 
 
 def commutant_dim(x, tol: float = TOL) -> int:
@@ -86,45 +94,36 @@ class Decomposition:
         }
 
 
-def _split_once(x, rng, tol, gap_floor=1e-6, reseeds=3):
-    """One invariant-subspace split via a random Hermitian commutant element.
+def reducing_split(x, tol: float = TOL):
+    """``(commutant_dim, (V_low, V_high))``: isometries onto complementary
+    invariant subspaces, or None in place of the pair for a trivial commutant.
 
-    Returns a list of isometries onto invariant subspaces (columns), or None
-    when the commutant is trivial.
+    The first non-scalar Hermitian part of ``C`` or ``iC`` over the commutant
+    basis commutes with the tuple; its spectrum is cut at the largest gap.
     """
-    n = x.shape[1]
     basis = commutant(x, tol=tol)
-    if basis.shape[0] <= 1:
-        return None
-    for _ in range(reseeds + 1):
-        coef = rng.standard_normal(basis.shape[0]) + 1j * rng.standard_normal(basis.shape[0])
-        h = linalg.hermitian_part(np.tensordot(coef, basis, axes=1))
-        h = h / max(1.0, np.linalg.norm(h))
-        w, v = linalg.eigh(h)
-        gaps = np.diff(w)
-        splits = np.nonzero(gaps > gap_floor)[0]
-        if splits.size == 0:
-            continue
-        # clusters must be tight for the eigenspaces to be well conditioned
-        edges = [0, *(int(s) + 1 for s in splits), n]
-        widths = [w[b - 1] - w[a] for a, b in zip(edges, edges[1:])]
-        if max(widths) > 1e-9:
-            continue
-        return [v[:, a:b] for a, b in zip(edges, edges[1:])]
-    raise NumericalError(
-        "could not separate commutant eigenvalues; tuple is too ill-conditioned"
-    )
+    k, n = basis.shape[:2]
+    if k == 1:
+        return 1, None
+    for c in basis:
+        for h in (linalg.hermitian_part(c), linalg.hermitian_part(1j * c)):
+            if np.linalg.norm(h - np.trace(h) / n * np.eye(n)) < 10 * tol:
+                continue
+            w, v = linalg.eigh(h)
+            cut = int(np.argmax(np.diff(w))) + 1
+            return k, (v[:, :cut], v[:, cut:])
+    return k, None
 
 
-def _irreducible_leaves(x, rng, tol):
+def _irreducible_leaves(x, tol):
     """Recursively split into irreducible pieces; yields (isometry, block)."""
-    pieces = _split_once(x, rng, tol)
-    if pieces is None:
+    split = reducing_split(x, tol)[1]
+    if split is None:
         yield np.eye(x.shape[1], dtype=complex), x
         return
-    for v in pieces:
+    for v in split:
         sub = np.stack([v.conj().T @ xj @ v for xj in x])
-        for w, block in _irreducible_leaves(sub, rng, tol):
+        for w, block in _irreducible_leaves(sub, tol):
             yield v @ w, block
 
 
@@ -135,18 +134,17 @@ def _class_key(block):
     return (block.shape[1], traces, spec)
 
 
-def decompose_irreducibles(x, tol: float = TOL, seed=0) -> Decomposition:
+def decompose_irreducibles(x, tol: float = TOL) -> Decomposition:
     """Split a Hermitian tuple into irreducible summands up to equivalence.
 
-    Invariant subspaces come from eigenspaces of random Hermitian commutant
-    elements (reseeded when the spectrum fails to separate); equivalent
+    Each piece is split in two by :func:`reducing_split` until its commutant
+    is trivial, so the result depends on nothing but the input. Equivalent
     irreducible summands are rotated to literally equal their class
     representative, so ``unitary* X unitary`` matches ``reassemble()`` to
     within ~1e-7.
     """
     x = pencil.as_tuple(x, what="tuple")
-    rng = linalg.default_rng(seed)
-    leaves = list(_irreducible_leaves(x, rng, tol))
+    leaves = list(_irreducible_leaves(x, tol))
 
     classes = []  # [representative, [isometries...]]
     for iso, block in leaves:
@@ -192,11 +190,10 @@ def _equivalent_irreducible(x, y, tol: float = TOL):
     """
     n = x.shape[1]
     eye = np.eye(n)
-    rows = np.vstack([np.kron(eye, xj.T) - np.kron(yj, eye) for xj, yj in zip(x, y)])
-    ker = linalg.null_space(rows, tol=tol)
-    if ker.shape[1] == 0:
+    ker = intertwiners(x, y, tol=tol)
+    if ker.shape[0] == 0:
         return False, None
-    c = ker[:, 0].reshape(n, n)
+    c = ker[0]
     mu = float(np.trace(c.conj().T @ c).real) / n
     if mu < tol:
         return False, None
@@ -211,22 +208,19 @@ def _equivalent_irreducible(x, y, tol: float = TOL):
     return True, u
 
 
-def unitarily_equivalent(x, y, tol: float = TOL, seed=0):
+def unitarily_equivalent(x, y, tol: float = TOL):
     """Decide simultaneous unitary equivalence ``U* X_j U = Y_j``.
 
-    Returns ``(flag, U)``. Irreducible inputs go through the intertwiner
-    equation directly; otherwise both sides are decomposed and matched class
-    by class (sizes and multiplicities must agree).
+    Returns ``(flag, U)``. Both sides are decomposed and matched class by
+    class (sizes and multiplicities must agree), each pair of classes through
+    the intertwiner equation.
     """
     x = pencil.as_tuple(x, what="first tuple")
     y = pencil.as_tuple(y, what="second tuple")
     if x.shape != y.shape:
         return False, None
-    if commutant_dim(x, tol=tol) == 1 and commutant_dim(y, tol=tol) == 1:
-        return _equivalent_irreducible(x, y, tol=tol)
-
-    dx = decompose_irreducibles(x, tol=tol, seed=seed)
-    dy = decompose_irreducibles(y, tol=tol, seed=seed)
+    dx = decompose_irreducibles(x, tol=tol)
+    dy = decompose_irreducibles(y, tol=tol)
     if dx.n_classes != dy.n_classes:
         return False, None
     if dx.multiplicities != dy.multiplicities:
@@ -326,7 +320,7 @@ def minimal_defining(
     ``level_cap``.
     """
     a = pencil.as_tuple(a, what="pencil")
-    dec = decompose_irreducibles(a, tol=tol, seed=seed)
+    dec = decompose_irreducibles(a, tol=tol)
     reps = list(dec.blocks)
     duplicates = sum(m - 1 for m in dec.multiplicities)
     caveats = []
@@ -426,14 +420,14 @@ class SimplexReport:
         return out
 
 
-def _joint_diagonal(b, tol: float, seed) -> Optional[np.ndarray]:
+def _joint_diagonal(b, tol: float) -> Optional[np.ndarray]:
     """Rows of jointly diagonalized commuting tuple; None if not commuting."""
     g, n = b.shape[0], b.shape[1]
     for i in range(g):
         for j in range(i + 1, g):
             if np.abs(b[i] @ b[j] - b[j] @ b[i]).max() > 1e-7:
                 return None
-    dec = decompose_irreducibles(b, tol=tol, seed=seed)
+    dec = decompose_irreducibles(b, tol=tol)
     if any(s != 1 for s in dec.block_sizes):
         return None
     u = dec.unitary
@@ -453,7 +447,7 @@ def is_free_simplex(a, tol: float = TOL, seed=0) -> SimplexReport:
     reasons = []
     md = minimal_defining(a, tol=tol, seed=seed)
     b = md.tuple
-    rows = _joint_diagonal(b, tol, seed)
+    rows = _joint_diagonal(b, tol)
     if rows is None:
         reasons.append("minimal defining tuple is not simultaneously diagonal")
     elif b.shape[1] != g + 1:

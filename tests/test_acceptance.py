@@ -288,7 +288,7 @@ def test_criterion_08_decomposition_round_trip():
         u = linalg.random_unitary(x.shape[1], rng)
         xu = conj_tuple(u, x)
 
-        dec = structure.decompose_irreducibles(xu, seed=case)
+        dec = structure.decompose_irreducibles(xu)
         got = sorted(zip(dec.block_sizes, dec.multiplicities))
         want = sorted(zip(sizes, mults))
         assert got == want, case

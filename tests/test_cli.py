@@ -150,11 +150,13 @@ def test_drop_member_takes_no_tol(files, capsys):
 
 
 @pytest.mark.parametrize("command,flag", [("classify", "--pencil"),
-                                          ("hull-member", "--generator")])
+                                          ("hull-member", "--generator"),
+                                          ("decompose", None)])
 def test_deterministic_subcommands_take_no_seed(files, capsys, command, flag):
-    # classify and hull-member draw nothing at random: --seed has nothing to set
-    args = [command, flag, files("a", gallery.cube(2).pencil),
-            "--point", files("x", np.zeros((2, 1, 1)))]
+    # classify, hull-member and decompose draw nothing at random: --seed has
+    # nothing to set
+    args = [command] + ([flag, files("a", gallery.cube(2).pencil)] if flag else [])
+    args += ["--point", files("x", np.zeros((2, 1, 1)))]
     assert run(capsys, *args)[0] == 0
     with pytest.raises(SystemExit) as exc:
         cli.main(args + ["--seed", "3"])

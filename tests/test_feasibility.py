@@ -77,6 +77,19 @@ def test_weakly_infeasible_without_pinned_trace_is_not_certified():
     assert res.multipliers is None
 
 
+@pytest.mark.xfail(strict=True, reason="solve_affine_psd reports feasible at z22 ~ 1.6e15 "
+                   "on a set with no PSD point (CHANGES.md, FOUND)")
+def test_weakly_infeasible_is_not_reported_feasible():
+    # the problem of the test above: the set z11 = 0, z12 = 1 has no PSD
+    # point, so no answer may be feasible
+    b12 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    prob = F.FeasibilityProblem(dim=2, base=np.zeros((2, 2)),
+                                extra=[herm_row(np.diag([1.0, 0.0])), herm_row(b12)],
+                                extra_rhs=[0.0, 1.0])
+    res = F.solve_affine_psd(prob)
+    assert not res.feasible
+
+
 def test_generator_mode_feasible():
     # Z = I + s*sigma_z is PSD for |s| <= 1; the line is feasible
     gens = np.stack([np.eye(2, dtype=complex),

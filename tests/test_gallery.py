@@ -4,6 +4,7 @@ import pytest
 
 from freespec import extreme, gallery, linalg, pencil, structure
 from freespec.errors import InputError
+import oracles
 from conftest import wild_corank1_pair
 
 
@@ -109,7 +110,7 @@ def test_lift_one_reaches_vanishing_boundary():
         x, y = wild_corank1_pair(rng, n=2)
         rep = gallery.lift_one(x, y)
         assert rep.residual <= 1e-8
-        assert gallery.vanishing_boundary_test("wild", rep.x_lift, rep.y_lift)
+        assert oracles.vanishing_boundary_test("wild", rep.x_lift, rep.y_lift)
         # the top-left compression returns the input exactly
         assert np.abs(rep.x_lift[:2, :2] - x).max() < 1e-12
         assert np.abs(rep.y_lift[:2, :2] - y).max() < 1e-12
@@ -133,25 +134,25 @@ def test_lift_one_rejects_interior():
 
 def test_vanishing_boundary_predicate():
     sp = gallery.spin_boundary_point([0.0, 1.2])
-    assert gallery.vanishing_boundary_test("wild", sp[0], sp[1])
+    assert oracles.vanishing_boundary_test("wild", sp[0], sp[1])
     z = np.zeros((1, 1))
-    assert not gallery.vanishing_boundary_test("wild", z, z)
+    assert not oracles.vanishing_boundary_test("wild", z, z)
     ex = gallery.tv_exceptional_point()
-    assert not gallery.vanishing_boundary_test("tv", ex["x"], ex["y"])
+    assert not oracles.vanishing_boundary_test("tv", ex["x"], ex["y"])
     with pytest.raises(InputError):
-        gallery.vanishing_boundary_test("disc", z, z)
+        oracles.vanishing_boundary_test("disc", z, z)
 
 
 def test_dilation_search_finds_nothing_on_vanishing_points():
     for angles in ([0.0], [0.3, 1.1]):
         sp = gallery.spin_boundary_point(angles)
-        rep = gallery.dilation_search("wild", sp[0], sp[1])
+        rep = oracles.dilation_search("wild", sp[0], sp[1])
         assert not rep.dilation_found
 
 
 def test_dilation_search_dilates_interior():
     z = np.zeros((1, 1))
-    rep = gallery.dilation_search("wild", z, z)
+    rep = oracles.dilation_search("wild", z, z)
     assert rep.dilation_found
     x, y = rep.witness[0], rep.witness[1]
     assert linalg.min_eig(gallery.wild_poly(x, y)) >= -1e-8
@@ -160,7 +161,7 @@ def test_dilation_search_dilates_interior():
 def test_dilation_search_rejects_outside_points():
     big = 2.0 * np.eye(1, dtype=complex)
     with pytest.raises(InputError):
-        gallery.dilation_search("wild", big, big)
+        oracles.dilation_search("wild", big, big)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +232,20 @@ def test_exceptional_point_frozen_constants():
 def test_tv_hat_point_classes():
     ex = gallery.tv_exceptional_point()
     x, y, w = ex["x"], ex["y"], ex["w"]
-    c = gallery.tv_hat_point_class(x, y, w)
-    assert c.in_family and c.label == gallery.TV_CLASS_PROJECTS_OUTSIDE
+    c = oracles.tv_hat_point_class(x, y, w)
+    assert c.in_family and c.label == oracles.TV_CLASS_PROJECTS_OUTSIDE
     assert c.j_rank == 1 and c.poly_min_eig < -1e-3
 
     # J = 0 branch: w = y^2 with 1 - x^2 - y^4 = 0
     t = 0.7
     yv = np.array([[t]], dtype=complex)
     xv = np.array([[np.sqrt(1 - t ** 4)]], dtype=complex)
-    c2 = gallery.tv_hat_point_class(xv, yv, yv @ yv)
-    assert c2.in_family and c2.label == gallery.TV_CLASS_NO_GAP
+    c2 = oracles.tv_hat_point_class(xv, yv, yv @ yv)
+    assert c2.in_family and c2.label == oracles.TV_CLASS_NO_GAP
 
     # breaking the displayed condition reports not-in-family, not an error
     bump = 2.0 * np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
-    c3 = gallery.tv_hat_point_class(x, y, y @ y + bump)
+    c3 = oracles.tv_hat_point_class(x, y, y @ y + bump)
     assert not c3.in_family and c3.label is None
 
 
@@ -252,7 +253,7 @@ def test_tv_hat_from_hidden_rescales():
     entry = gallery.tv_lift(1.0)
     ex = gallery.tv_exceptional_point()
     raw = entry.aux["hidden_scale"] * ex["w"] - entry.aux["hidden_shift"] * np.eye(2)
-    assert np.abs(gallery.tv_hat_from_hidden(entry, raw) - ex["w"]).max() < 1e-12
+    assert np.abs(oracles.tv_hat_from_hidden(entry, raw) - ex["w"]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

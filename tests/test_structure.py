@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from freespec import gallery, linalg, pencil, structure
+from freespec import extreme, gallery, linalg, pencil, structure
 from freespec.errors import InputError
 from conftest import BUILDER_SHAPES, bits, complex_draw
 
@@ -55,6 +55,11 @@ def test_commutant_rows_match_kron_loop_bitwise(monkeypatch, sparse):
         eye = np.eye(n)
         loop = np.vstack([np.kron(xj, eye) - np.kron(eye, xj.T) for xj in x])
         assert np.array_equal(bits(seen.pop()), bits(loop)), (g, n)
+        z = complex_draw(rng, (g, n, n), sparse)
+        y = pencil.as_tuple((z + z.conj().transpose(0, 2, 1)) / 2)
+        structure.intertwiners(x, y)
+        loop = np.vstack([np.kron(yj, eye) - np.kron(eye, xj.T) for xj, yj in zip(x, y)])
+        assert np.array_equal(bits(seen.pop()), bits(loop)), (g, n)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +87,32 @@ def test_decompose_scrambled_mixture():
     assert sorted(zip(dec.block_sizes, dec.multiplicities)) == [(1, 1), (2, 2)]
 
 
+def test_splits_draw_nothing_at_random(monkeypatch):
+    scalar = np.array([[[0.3]], [[0.7]]])
+    mix = pencil.direct_sum([PAULI, scalar, PAULI])
+    u = linalg.random_unitary(5, linalg.default_rng(4))
+    x = conj_tuple(u, mix)
+    y = conj_tuple(linalg.random_unitary(5, linalg.default_rng(5)), mix)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("random generator requested")
+
+    monkeypatch.setattr(linalg, "default_rng", no_rng)
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    first = structure.decompose_irreducibles(x)
+    again = structure.decompose_irreducibles(x)
+    assert sorted(zip(first.block_sizes, first.multiplicities)) == [(1, 1), (2, 2)]
+    for b, c in zip(first.blocks + [first.unitary], again.blocks + [again.unitary]):
+        assert np.array_equal(bits(b), bits(c))
+    flag, w = structure.unitarily_equivalent(x, y)
+    assert flag and np.abs(conj_tuple(w, x) - y).max() < 1e-7
+    verdict = extreme.is_irreducible(x)
+    assert not verdict.irreducible and verdict.commutant_dim == 5
+    p = verdict.projection
+    assert np.abs(p @ p - p).max() < 1e-10
+    assert max(np.abs(p @ xj - xj @ p).max() for xj in x) < 1e-10
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_decompose_reassembles(seed):
     rng = linalg.default_rng(seed)
@@ -91,7 +122,7 @@ def test_decompose_reassembles(seed):
     x = pencil.direct_sum([parts[0], parts[1], parts[2], parts[1]])
     u = linalg.random_unitary(x.shape[1], rng)
     xu = conj_tuple(u, x)
-    dec = structure.decompose_irreducibles(xu, seed=seed)
+    dec = structure.decompose_irreducibles(xu)
     err = np.abs(conj_tuple(dec.unitary, xu) - dec.reassemble()).max()
     assert err < 1e-7
     assert sum(s * m for s, m in zip(dec.block_sizes, dec.multiplicities)) == x.shape[1]
