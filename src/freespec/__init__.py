@@ -9,7 +9,7 @@ The public surface re-exports the main entry points; the modules group as
 * :mod:`freespec.structure` — commutants, irreducible decomposition, unitary
   equivalence, minimal defining tuples, free simplices,
 * :mod:`freespec.feasibility` — hull membership, inclusion, boundary search
-  in hulls, polar duality, projected spectrahedra,
+  in hulls, projected spectrahedra,
 * :mod:`freespec.gallery` — worked models and their special-purpose tests.
 """
 
@@ -49,7 +49,6 @@ from .feasibility import (
     arveson_in_hull,
     hull_membership,
     inclusion,
-    polar_dual_check,
     solve_affine_psd,
     spectrahedrop_membership,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "arveson_in_hull",
     "hull_membership",
     "inclusion",
-    "polar_dual_check",
     "solve_affine_psd",
     "spectrahedrop_membership",
     "gallery",

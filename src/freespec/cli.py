@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     _add_common(p, seed=False)
 
-    p = sub.add_parser("dual-check", help="sampled polar duality verification")
-    p.add_argument("--generator", required=True)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100)
-    _add_common(p)
-
     p = sub.add_parser("simplex-check",
                        help="free simplex recognition and normal form")
     p.add_argument("--pencil", required=True)
@@ -184,14 +178,6 @@ def _cmd_decompose(args) -> dict:
     return structure.decompose_irreducibles(x, tol=args.tol).to_json()
 
 
-def _cmd_dual_check(args) -> dict:
-    omega = pencil.read_tuple(args.generator)
-    rep = feasibility.polar_dual_check(omega, level=args.level,
-                                       samples=args.samples, seed=args.seed,
-                                       tol=args.tol)
-    return rep.to_json()
-
-
 def _cmd_simplex_check(args) -> dict:
     a = pencil.read_tuple(args.pencil)
     rep = structure.is_free_simplex(a, tol=args.tol, seed=args.seed)
@@ -222,7 +208,6 @@ _COMMANDS = {
     "include": _cmd_include,
     "drop-member": _cmd_drop_member,
     "decompose": _cmd_decompose,
-    "dual-check": _cmd_dual_check,
     "simplex-check": _cmd_simplex_check,
     "gallery": _cmd_gallery,
     "lift-one": _cmd_lift_one,

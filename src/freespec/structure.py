@@ -8,9 +8,11 @@ deterministic rule shared by the irreducibility test and by
 irreducibles grouped into unitary equivalence classes with multiplicities.
 ``intertwiners`` solves ``C X_j = Y_j C`` for the commutant and for
 ``unitarily_equivalent``; ``minimal_defining`` prunes summands that do not
-change the free spectrahedron. Free simplices (spectrahedra of
-commuting minimal tuples with g+1 summands) get a normal form onto the fixed
-reference tuple :func:`reference_simplex`.
+change the free spectrahedron. Free simplices (bounded spectrahedra of
+commuting minimal tuples with g+1 summands; the facet matrix decides
+boundedness) get a normal form onto the fixed reference tuple
+:func:`reference_simplex`, certified by unitary equivalence (the
+Gleichstellensatz). Nothing here samples points to check its own answer.
 """
 
 from __future__ import annotations
@@ -289,8 +291,6 @@ class MinimalDefiningReport:
     summands_removed: int
     duplicates_removed: int
     caveats: list
-    verified_samples: int
-    mismatches: int
 
     def to_json(self) -> dict:
         return {
@@ -298,8 +298,6 @@ class MinimalDefiningReport:
             "summands_removed": self.summands_removed,
             "duplicates_removed": self.duplicates_removed,
             "caveats": list(self.caveats),
-            "verified_samples": self.verified_samples,
-            "mismatches": self.mismatches,
         }
 
 
@@ -307,7 +305,6 @@ def minimal_defining(
     a,
     tol: float = TOL,
     seed=0,
-    samples: int = 30,
     level_cap: int = 2,
 ) -> MinimalDefiningReport:
     """Prune a defining tuple without changing its free spectrahedron.
@@ -316,8 +313,14 @@ def minimal_defining(
     copies, which never change the spectrahedron), then greedily removes
     summands — largest first, trace order breaking ties — whenever the
     remaining direct sum's spectrahedron is certified to sit inside the
-    candidate's. The result is verified on sampled points at levels up to
-    ``level_cap``.
+    candidate's. ``seed`` and ``level_cap`` reach only the witness search of
+    :func:`feasibility.inclusion`.
+
+    The result rests on per-summand evidence, not on samples: every removal
+    carries a Choi certificate; every kept summand carries an ``inclusion``
+    witness (a point of the rest outside it) or a "no certificate" caveat.
+    Removing summands only enlarges the spectrahedron of the rest, so a
+    witness found against a larger rest stays valid in the final tuple.
     """
     a = pencil.as_tuple(a, what="pencil")
     dec = decompose_irreducibles(a, tol=tol)
@@ -346,33 +349,11 @@ def minimal_defining(
             caveats.append(
                 f"summand {i} kept: inclusion solver returned no certificate"
             )
-    pruned = pencil.direct_sum([reps[k] for k in sorted(keep)])
-
-    rng = linalg.default_rng(seed)
-    g = a.shape[0]
-    checked = mism = 0
-    for _ in range(samples):
-        n = int(rng.integers(1, level_cap + 1))
-        h = linalg.random_herm_tuple(g, n, rng)
-        for radius in (0.5, 1.0):
-            hit = pencil.scale_to_boundary(a, h, tol=tol)
-            x = radius * hit[1] if hit is not None else h
-            me_a = linalg.min_eig(pencil.eval_monic(a, x))
-            me_b = linalg.min_eig(pencil.eval_monic(pruned, x))
-            if min(abs(me_a), abs(me_b)) <= 10 * tol:
-                continue  # too close to the boundary to compare robustly
-            checked += 1
-            if (me_a >= 0) != (me_b >= 0):
-                mism += 1
-    if not pencil.bounded(a, seed=seed).verdict == pencil.BOUNDED:
-        caveats.append("boundedness not certified; minimality is heuristic")
     return MinimalDefiningReport(
-        tuple=pruned,
+        tuple=pencil.direct_sum([reps[k] for k in sorted(keep)]),
         summands_removed=removed,
         duplicates_removed=duplicates,
         caveats=caveats,
-        verified_samples=checked,
-        mismatches=mism,
     )
 
 
@@ -401,8 +382,8 @@ class SimplexReport:
 
     When ``is_simplex`` is true, ``facets`` has one row per summand of the
     minimal commuting tuple: facet ``a`` is ``I - sum_s facets[a, s] X_s >= 0``.
-    ``vertices`` are the level-1 vertices (row ``a`` solving all facets except
-    ``a`` with equality... i.e. the point opposite facet ``a``).
+    Row ``a`` of ``vertices`` is the level-1 vertex opposite facet ``a``: the
+    point where every other facet holds with equality.
     """
 
     is_simplex: bool
@@ -435,42 +416,55 @@ def _joint_diagonal(b, tol: float) -> Optional[np.ndarray]:
     return diag.T  # (n, g): row a holds the joint eigenvalue of summand a
 
 
+def _barycentric(facets: np.ndarray, tol: float):
+    """``(drop, rest, weights)`` with ``facets[drop] = -weights @ rest``, or
+    None when the level-1 polytope ``{x : facets @ x <= 1}`` is unbounded.
+
+    ``g+1`` facets in ``g`` variables bound the polytope iff they have rank
+    ``g`` and a strictly positive dependency; then every drop-one system is
+    nonsingular with positive weights, so the best-conditioned one decides
+    (smallest singular value at least 1e-10, every weight above ``tol``).
+    Level 1 decides every level: compressing a point to a unit vector gives
+    a level-1 point, and these reach each ``||X_j||``.
+    """
+    g = facets.shape[1]
+    sig_min = [np.linalg.svd(np.delete(facets, drop, axis=0), compute_uv=False)[-1]
+               for drop in range(g + 1)]
+    drop = int(np.argmax(sig_min))
+    if sig_min[drop] < 1e-10:
+        return None
+    rest = np.delete(facets, drop, axis=0)
+    weights = -(facets[drop] @ np.linalg.inv(rest))
+    if not np.all(weights > tol):
+        return None
+    return drop, rest, weights
+
+
 def is_free_simplex(a, tol: float = TOL, seed=0) -> SimplexReport:
     """Decide whether the free spectrahedron of ``a`` is a free simplex.
 
-    Requires: bounded spectrahedron, minimal defining tuple commuting with
-    exactly g+1 inequivalent one-dimensional summands. Facet data is read off
-    the joint diagonalization.
+    Requires a minimal defining tuple that commutes, with exactly g+1
+    inequivalent one-dimensional summands, and a bounded spectrahedron.
+    Facet data is read off the joint diagonalization, and boundedness is
+    decided exactly on the facet matrix by :func:`_barycentric`. ``seed``
+    reaches only the witness search of :func:`minimal_defining`.
     """
     a = pencil.as_tuple(a, what="pencil")
     g = a.shape[0]
-    reasons = []
     md = minimal_defining(a, tol=tol, seed=seed)
     b = md.tuple
-    rows = _joint_diagonal(b, tol)
-    if rows is None:
-        reasons.append("minimal defining tuple is not simultaneously diagonal")
+    facets = _joint_diagonal(b, tol)  # (g+1, g) when a simplex
+    if facets is None:
+        reason = "minimal defining tuple is not simultaneously diagonal"
     elif b.shape[1] != g + 1:
-        reasons.append(
-            f"minimal commuting tuple has {b.shape[1]} summands, need g+1={g + 1}"
-        )
-    bd = pencil.bounded(a, seed=seed, tol=tol)
-    if bd.verdict != pencil.BOUNDED:
-        reasons.append(f"boundedness check returned {bd.verdict}")
-    if reasons:
-        return SimplexReport(False, reasons, None, None, md)
-
-    facets = rows  # (g+1, g)
-    verts = np.zeros((g + 1, g))
-    for drop in range(g + 1):
-        rest = np.delete(facets, drop, axis=0)
-        try:
-            verts[drop] = np.linalg.solve(rest, np.ones(g))
-        except np.linalg.LinAlgError:
-            return SimplexReport(
-                False, ["facet system is singular; not a simplex"], None, None, md
-            )
-    return SimplexReport(True, [], facets, verts, md)
+        reason = f"minimal commuting tuple has {b.shape[1]} summands, need g+1={g + 1}"
+    elif _barycentric(facets, tol) is None:
+        reason = "boundedness check returned unbounded"
+    else:
+        verts = np.stack([np.linalg.solve(np.delete(facets, drop, axis=0), np.ones(g))
+                          for drop in range(g + 1)])
+        return SimplexReport(True, [], facets, verts, md)
+    return SimplexReport(False, [reason], None, None, md)
 
 
 @dataclass
@@ -504,29 +498,34 @@ class AffineMap:
 
 @dataclass
 class NormalFormReport:
+    """The normal-form map and its certificate: ``unitary* B_min unitary``
+    equals the reference simplex pulled back through ``map``, where ``B_min``
+    is the minimal tuple of ``simplex``. Readers re-check the map against the
+    ``facets`` that :class:`SimplexReport` prints."""
+
     map: AffineMap
     dropped_facet: int
-    verified_samples: int
-    mismatches: int
+    unitary: np.ndarray
     simplex: SimplexReport
 
     def to_json(self) -> dict:
         return {
             "map": self.map.to_json(),
             "dropped_facet": int(self.dropped_facet),
-            "verified_samples": self.verified_samples,
-            "mismatches": self.mismatches,
         }
 
 
-def simplex_normal_form(a, tol: float = TOL, seed=0, samples: int = 50) -> NormalFormReport:
+def simplex_normal_form(a, tol: float = TOL, seed=0) -> NormalFormReport:
     """Affine map carrying a free simplex onto the reference simplex.
 
-    From the facet matrix of the joint diagonalization, ``g`` facets are
-    selected (best conditioned drop-one choice, requiring positive barycentric
-    weights for the dropped one) and normalized so that the image spectrahedron
-    is exactly the spectrahedron of :func:`reference_simplex`. The map is verified
-    on sampled tuples at levels 1 and 2.
+    The ``g`` facets kept by :func:`_barycentric` are normalized so that the
+    image is exactly the spectrahedron of :func:`reference_simplex`. The map
+    ``Y_j = sum_k linear[j, k] X_k + offset[j] I`` pulls ``L_N`` back to
+    ``P^{1/2} L_B P^{1/2}`` with ``P = I - sum_j offset_j N_j`` and
+    ``B_k = P^{-1/2} (sum_j linear[j, k] N_j) P^{-1/2}``, all diagonal. By the
+    Gleichstellensatz (Helton, Klep & McCullough, Math. Program. 2013) the map
+    is right iff ``B`` is unitarily equivalent to the minimal tuple of ``a``;
+    otherwise :class:`NumericalError` is raised.
     """
     a = pencil.as_tuple(a, what="pencil")
     g = a.shape[0]
@@ -535,51 +534,18 @@ def simplex_normal_form(a, tol: float = TOL, seed=0, samples: int = 50) -> Norma
         raise InputError(
             "normal form needs a free simplex; reasons: " + "; ".join(rep.reasons)
         )
-    facets = rep.facets  # (g+1, g)
-
-    # choose which facet plays the affine-combination role
-    candidates = []
-    for drop in range(g + 1):
-        s = np.delete(facets, drop, axis=0)
-        sig = np.linalg.svd(s, compute_uv=False)
-        candidates.append((sig[-1], drop, s))
-    candidates.sort(reverse=True, key=lambda c: c[0])
-    chosen = None
-    for sig_min, drop, s in candidates:
-        if sig_min < 1e-10:
-            continue
-        beta = facets[drop] @ np.linalg.inv(s)
-        bvec = -beta
-        if np.all(bvec > tol):
-            chosen = (drop, s, bvec)
-            break
-    if chosen is None:
-        raise NumericalError("no facet choice gave positive barycentric weights")
-    drop, s, bvec = chosen
+    drop, s, bvec = _barycentric(rep.facets, tol)
     weights = bvec / (1.0 + bvec.sum())
     linear = -(2 * g + 1) * (weights[:, None] * s)
     offset = (2 * g + 1) * weights - 1.0
     amap = AffineMap(linear=linear, offset=offset)
 
-    target = reference_simplex(g)
-    rng = linalg.default_rng(seed)
-    checked = mism = 0
-    for _ in range(samples):
-        n = int(rng.integers(1, 3))
-        h = linalg.random_herm_tuple(g, n, rng)
-        hit = pencil.scale_to_boundary(a, h, tol=tol)
-        for radius in (0.6, 1.0, 1.4):
-            x = radius * hit[1] if hit is not None else radius * h
-            me_a = linalg.min_eig(pencil.eval_monic(a, x))
-            me_t = linalg.min_eig(pencil.eval_monic(target, amap.apply(x)))
-            if min(abs(me_a), abs(me_t)) <= 10 * tol:
-                continue
-            checked += 1
-            if (me_a >= 0) != (me_t >= 0):
-                mism += 1
-    if mism:
-        raise NumericalError(
-            f"normal form failed verification on {mism}/{checked} samples"
-        )
-    return NormalFormReport(map=amap, dropped_facet=drop, verified_samples=checked,
-                            mismatches=mism, simplex=rep)
+    ref = reference_simplex(g).diagonal(axis1=1, axis2=2).real  # (g, g+1)
+    p = 1.0 - offset @ ref
+    if not np.all(p > 0):
+        raise NumericalError("normal form sends the origin outside the reference simplex")
+    pulled = np.stack([np.diag(row / p) for row in linear.T @ ref]).astype(complex)
+    ok, unitary = unitarily_equivalent(rep.minimal.tuple, pulled, tol=tol)
+    if not ok:
+        raise NumericalError("pulled-back reference is not equivalent to the minimal tuple")
+    return NormalFormReport(map=amap, dropped_facet=drop, unitary=unitary, simplex=rep)

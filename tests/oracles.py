@@ -1,9 +1,11 @@
-"""Test-only oracles for the gallery's nonlinear models.
+"""Test-only oracles: the gallery's nonlinear models and sampled set checks.
 
 These routines are independent checks, not library verdicts: the dilation
-search is seeded and "not found" is no claim, and the lifted-TV classifier
-only labels points of one worked family. They live beside the tests that use
-them; nothing in ``freespec`` calls them.
+search is seeded and "not found" is no claim, the lifted-TV classifier only
+labels points of one worked family, and the polar-duality and normal-form
+checks compare two sets on random points, which is evidence and never proof
+(the library certifies the normal form by unitary equivalence instead). They
+live beside the tests that use them; nothing in ``freespec`` calls them.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -15,6 +17,7 @@ from freespec.errors import InputError
 from freespec.extreme import column_dilation
 from freespec.gallery import GalleryEntry, tv_poly, wild_poly
 from freespec.linalg import TOL
+from freespec.structure import reference_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +193,95 @@ def tv_hat_point_class(x, y, w, tol: float = 1e-8) -> TvHatClassification:
         return TvHatClassification(True, TV_CLASS_NO_GAP, 0, me)
     label = TV_CLASS_PROJECTS_INSIDE if me >= -tol else TV_CLASS_PROJECTS_OUTSIDE
     return TvHatClassification(True, label, 1, me)
+
+
+# ---------------------------------------------------------------------------
+# polar duality
+# ---------------------------------------------------------------------------
+
+#: random hull members that :func:`polar_dual_check` tests besides ``Omega``
+DUAL_BATTERY = 4
+
+
+@dataclass
+class PolarDualReport:
+    level: int
+    samples: int
+    counterexamples: int
+    battery_size: int
+
+
+def polar_dual_check(
+    omega,
+    level: int = 1,
+    samples: int = 100,
+    seed=0,
+    tol: float = TOL,
+) -> PolarDualReport:
+    """Sampled two-sided check of hull/spectrahedron polar duality.
+
+    For random tuples ``A`` at the given level, membership of ``A`` in the
+    spectrahedron of ``Omega`` must coincide with ``L_A(Y) >= 0`` for every
+    battery member ``Y`` of the hull of ``Omega`` (the battery always contains
+    ``Omega`` itself plus random isometry compressions of ``I_m ⊗ Omega``).
+    """
+    omega = pencil.as_tuple(omega, what="generator tuple")
+    g, d = omega.shape[0], omega.shape[1]
+    rng = linalg.default_rng(seed)
+    members = [omega]
+    for _ in range(DUAL_BATTERY):
+        m = int(rng.integers(1, 3))
+        size = int(rng.integers(1, m * d + 1))
+        v = linalg.random_isometry(size, m * d, rng)
+        big = np.stack([np.kron(np.eye(m), oj) for oj in omega])
+        members.append(np.stack([v.conj().T @ bj @ v for bj in big]))
+
+    bad = 0
+    radii = [0.5, 1.0, 1.5]
+    for i in range(samples):
+        h = linalg.random_herm_tuple(g, level, rng)
+        hit = pencil.scale_to_boundary(omega, h, tol=tol)
+        if hit is None:
+            a = h
+        else:
+            t, _ = hit
+            a = radii[i % len(radii)] * t * h
+        lhs = linalg.min_eig(pencil.eval_monic(omega, a)) >= -tol
+        rhs = all(
+            linalg.min_eig(pencil.eval_monic(a, y)) >= -tol for y in members
+        )
+        if lhs != rhs:
+            bad += 1
+    return PolarDualReport(level=level, samples=samples, counterexamples=bad,
+                           battery_size=len(members))
+
+
+# ---------------------------------------------------------------------------
+# free-simplex normal form
+# ---------------------------------------------------------------------------
+
+def normal_form_mismatches(a, amap, samples: int = 50, seed=0, tol: float = TOL):
+    """``(checked, mismatches)``: random tuples at levels 1 and 2, at radii 0.6,
+    1.0 and 1.4 of the boundary of ``D_A``, where membership in ``D_A`` and
+    membership of ``amap(X)`` in the reference simplex disagree. Points within
+    ``10 tol`` of either boundary are skipped and not counted as checked.
+    """
+    a = pencil.as_tuple(a, what="pencil")
+    g = a.shape[0]
+    target = reference_simplex(g)
+    rng = linalg.default_rng(seed)
+    checked = mism = 0
+    for _ in range(samples):
+        n = int(rng.integers(1, 3))
+        h = linalg.random_herm_tuple(g, n, rng)
+        hit = pencil.scale_to_boundary(a, h, tol=tol)
+        for radius in (0.6, 1.0, 1.4):
+            x = radius * hit[1] if hit is not None else radius * h
+            me_a = linalg.min_eig(pencil.eval_monic(a, x))
+            me_t = linalg.min_eig(pencil.eval_monic(target, amap.apply(x)))
+            if min(abs(me_a), abs(me_t)) <= 10 * tol:
+                continue
+            checked += 1
+            if (me_a >= 0) != (me_t >= 0):
+                mism += 1
+    return checked, mism

@@ -9,6 +9,7 @@ import pytest
 
 from freespec import extreme, feasibility, gallery, linalg, pencil, structure
 from conftest import boundary_point, random_bounded_pencil, wild_corank1_pair
+import oracles
 
 
 def conj_tuple(u, x):
@@ -170,19 +171,20 @@ def test_criterion_05_free_simplex():
         rep = feasibility.arveson_in_hull(n_ref, x)
         assert rep.status == feasibility.BOUNDARY, g
 
-        # (c) sampled polar duality (mco{N})° = D_N
+        # (c) sampled polar duality (mco{N})° = D_N, checked by the test oracle
         for level in (1, 2):
-            dual = feasibility.polar_dual_check(n_ref, level=level, samples=100,
-                                                seed=50 + g)
+            dual = oracles.polar_dual_check(n_ref, level=level, samples=100,
+                                            seed=50 + g)
             assert dual.counterexamples == 0, (g, level)
             assert dual.samples == 100
 
-        # (d) recognition plus verified normal form
+        # (d) recognition plus certified normal form, re-checked on samples
         rep = structure.is_free_simplex(n_ref)
         assert rep.is_simplex, g
-        nf = structure.simplex_normal_form(n_ref, samples=50)
-        assert nf.verified_samples >= 50
-        assert nf.mismatches == 0, g
+        nf = structure.simplex_normal_form(n_ref)
+        checked, mism = oracles.normal_form_mismatches(n_ref, nf.map, samples=50)
+        assert checked >= 50
+        assert mism == 0, g
 
 
 # ---------------------------------------------------------------------------

@@ -179,23 +179,33 @@ def test_decompose_doubled_pauli(files, capsys):
     assert out["classes"][0]["multiplicity"] == 2
 
 
-def test_dual_check_naimark(files, capsys):
-    out = run_json(capsys, "dual-check",
-                   "--generator", files("om", gallery.build("naimark").pencil),
-                   "--level", "1", "--samples", "20")
-    assert out["counterexamples"] == 0
-    assert out["samples"] == 20
-
-
 def test_simplex_check_verdicts(files, capsys):
     yes = run_json(capsys, "simplex-check",
                    "--pencil", files("n", gallery.build("naimark").pencil))
     assert yes["simplex"]["is_simplex"] is True
-    assert yes["normal_form"]["mismatches"] == 0
+    assert set(yes["normal_form"]) == {"map", "dropped_facet"}
     no = run_json(capsys, "simplex-check",
                   "--pencil", files("c", gallery.cube(2).pencil))
     assert no["simplex"]["is_simplex"] is False
     assert no["normal_form"] is None
+
+
+def test_simplex_check_unbounded_diagonal_pencil(files, capsys):
+    # g + 1 commuting facets with no positive dependency: unbounded, so no
+    # simplex and no normal form to attempt
+    facets = np.array([[-0.11, -0.57, 0.23], [0.53, 0.57, 0.28],
+                       [0.75, 0.95, -1.11], [-0.38, 0.87, 0.49]])
+    a = np.stack([np.diag(col) for col in facets.T])
+    out = run_json(capsys, "simplex-check", "--pencil", files("a", a))
+    assert out["simplex"] == {"is_simplex": False,
+                              "reasons": ["boundedness check returned unbounded"]}
+    assert out["normal_form"] is None
+
+
+def test_dual_check_is_gone(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dual-check", "--generator", files("om", gallery.build("naimark").pencil)])
+    assert exc.value.code == 2
 
 
 def test_gallery_naimark(capsys):
@@ -302,6 +312,15 @@ def test_classify_point_outside_half_the_witness_slack_exits_3(files, capsys):
     code = cli.main(["classify", "--pencil", files("a", spin), "--point", files("x", x)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--level", "0"), ("--samples", "-3")])
+def test_include_rejects_bad_search_sizes(files, capsys, flag, value):
+    interval = gallery.interval().pencil
+    code = cli.main(["include", "--inner", files("b", interval),
+                     "--outer", files("a", interval), flag, value])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):

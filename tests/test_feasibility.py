@@ -6,6 +6,7 @@ from freespec import feasibility as F
 from freespec import gallery, linalg, pencil
 from freespec.errors import InputError
 from conftest import random_bounded_pencil, separator_holds
+import oracles
 
 NAIMARK = gallery.build("naimark").pencil
 CUBE = gallery.cube(2).pencil
@@ -547,18 +548,18 @@ def test_arveson_in_hull_direct_sum_of_rows():
 
 
 # ---------------------------------------------------------------------------
-# polar duality
+# polar duality (sampled oracle)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("omega,label", [(NAIMARK, "simplex"), (CUBE, "cube")])
 def test_polar_dual_no_counterexamples(omega, label):
-    rep = F.polar_dual_check(omega, level=1, samples=25, seed=0)
+    rep = oracles.polar_dual_check(omega, level=1, samples=25, seed=0)
     assert rep.counterexamples == 0, label
     assert rep.samples == 25
 
 
 def test_polar_dual_level_two():
-    rep = F.polar_dual_check(NAIMARK, level=2, samples=10, seed=1)
+    rep = oracles.polar_dual_check(NAIMARK, level=2, samples=10, seed=1)
     assert rep.counterexamples == 0
 
 

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from freespec import extreme, gallery, linalg, pencil, structure
-from freespec.errors import InputError
+from freespec import feasibility as F
+from freespec.errors import InputError, NumericalError
 from conftest import BUILDER_SHAPES, bits, complex_draw
+from oracles import normal_form_mismatches
 
 PAULI = np.stack([np.diag([1.0, -1.0]),
                   np.array([[0.0, 1.0], [1.0, 0.0]])]).astype(complex)
@@ -196,33 +198,33 @@ def test_bordered_matrix_never_equivalent_to_augmented_diagonal(seed):
 
 def test_minimal_defining_removes_duplicate_block():
     doubled = pencil.direct_sum([PAULI, PAULI])
-    rep = structure.minimal_defining(doubled, samples=10)
+    rep = structure.minimal_defining(doubled)
     assert rep.tuple.shape[1] == 2
     assert rep.duplicates_removed >= 1
-    assert rep.mismatches == 0
+    assert F.inclusion(rep.tuple, doubled, samples=10).status == F.INCLUDED
+    assert F.inclusion(doubled, rep.tuple, samples=10).status == F.INCLUDED
 
 
 def test_minimal_defining_drops_redundant_summand():
     interval = gallery.interval().pencil
     wide = 0.5 * interval          # defines [-2, 2], redundant next to [-1, 1]
     both = pencil.direct_sum([interval, wide])
-    rep = structure.minimal_defining(both, samples=10)
+    rep = structure.minimal_defining(both)
     assert rep.tuple.shape[1] == 2
-    from freespec import feasibility as F
     assert F.inclusion(rep.tuple, interval, samples=10).status == F.INCLUDED
     assert F.inclusion(interval, rep.tuple, samples=10).status == F.INCLUDED
 
 
 def test_minimal_defining_keeps_simplex():
-    rep = structure.minimal_defining(NAIMARK, samples=10)
+    rep = structure.minimal_defining(NAIMARK)
     assert rep.tuple.shape[1] == 3
     assert rep.summands_removed == 0 and rep.duplicates_removed == 0
 
 
 def test_minimal_defining_idempotent():
     doubled = pencil.direct_sum([PAULI, PAULI])
-    once = structure.minimal_defining(doubled, samples=10).tuple
-    twice = structure.minimal_defining(once, samples=10)
+    once = structure.minimal_defining(doubled).tuple
+    twice = structure.minimal_defining(once)
     assert twice.tuple.shape[1] == once.shape[1]
     assert twice.summands_removed == 0 and twice.duplicates_removed == 0
 
@@ -260,16 +262,106 @@ def test_spin_disk_is_not_a_simplex():
     assert not rep.is_simplex
 
 
+#: g = 3 diagonal pencil ``A_j = diag(F[:, j])`` whose facets have the left
+#: null vector (0.9075, -0.0378, 0.3049, 0.2864): no positive dependency, so
+#: the polytope is unbounded (``min_eig L_A`` stays 1 along the ray in the
+#: kernel of facets 0 and 2), though a probabilistic search calls it bounded
+UNBOUNDED_FACETS = np.array([[-0.11, -0.57, 0.23], [0.53, 0.57, 0.28],
+                             [0.75, 0.95, -1.11], [-0.38, 0.87, 0.49]])
+
+
+def diagonal_pencil(facets):
+    return np.stack([np.diag(col) for col in facets.T]).astype(complex)
+
+
+def test_unbounded_diagonal_pencil_is_not_a_simplex():
+    a = diagonal_pencil(UNBOUNDED_FACETS)
+    ray = np.linalg.svd(UNBOUNDED_FACETS[[0, 2]])[2][-1]
+    ray *= -np.sign(UNBOUNDED_FACETS[1] @ ray)
+    assert np.all(UNBOUNDED_FACETS @ ray <= 1e-12)
+    assert linalg.min_eig(pencil.eval_monic(a, 1e6 * ray)) >= 1 - 1e-9
+    rep = structure.is_free_simplex(a)
+    assert not rep.is_simplex
+    assert rep.reasons == ["boundedness check returned unbounded"]
+    with pytest.raises(InputError):
+        structure.simplex_normal_form(a)
+
+
+def test_simplex_routines_do_not_call_bounded(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("pencil.bounded called")
+    monkeypatch.setattr(pencil, "bounded", boom)
+    assert structure.is_free_simplex(NAIMARK).is_simplex
+    structure.simplex_normal_form(NAIMARK)
+    assert not structure.is_free_simplex(gallery.cube(2).pencil).is_simplex
+
+
+def random_simplex(g, rng):
+    """A unitarily scrambled diagonal pencil whose g+1 facets have a random
+    positive dependency, so its spectrahedron is a bounded free simplex."""
+    rest = rng.standard_normal((g, g))
+    facets = np.vstack([rest, -(rng.uniform(0.1, 2.0, g) @ rest)])
+    u = np.linalg.qr(complex_draw(rng, (g + 1, g + 1)))[0]
+    return np.stack([u.conj().T @ d @ u for d in diagonal_pencil(facets[rng.permutation(g + 1)])])
+
+
+def pulled_back_reference(amap):
+    """``B_k = P^{-1/2} (sum_j linear[j, k] N_j) P^{-1/2}`` with
+    ``P = I - sum_j offset_j N_j``, from full matrices and ``eigh``."""
+    g = amap.linear.shape[0]
+    n = structure.reference_simplex(g)
+    p = np.eye(g + 1) - np.tensordot(amap.offset, n, axes=1)
+    w, v = np.linalg.eigh(p)
+    assert w.min() > 0
+    root = v @ np.diag(w ** -0.5) @ v.conj().T
+    return np.stack([root @ np.tensordot(amap.linear[:, k], n, axes=1) @ root
+                     for k in range(g)])
+
+
+def simplex_battery():
+    rng = np.random.default_rng(2323)
+    named = [NAIMARK, 2.0 * NAIMARK, structure.reference_simplex(3),
+             gallery.simplex_from_vertices([[-1.0, -1.0], [2.0, 0.0], [0.0, 2.0]]).pencil]
+    return named + [random_simplex(1 + i % 4, rng) for i in range(12)]
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_normal_form_certificate_rechecks(index):
+    a = simplex_battery()[index]
+    nf = structure.simplex_normal_form(a)
+    minimal = nf.simplex.minimal.tuple
+    b = pulled_back_reference(nf.map)
+    u = nf.unitary
+    assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-10
+    assert max(np.abs(u.conj().T @ mj @ u - bj).max() for mj, bj in zip(minimal, b)) < 1e-8
+    # one map entry off by 1 % pulls back a different simplex
+    off = structure.AffineMap(nf.map.linear.copy(), nf.map.offset)
+    off.linear[0, 0] *= 1.01
+    assert not structure.unitarily_equivalent(minimal, pulled_back_reference(off))[0]
+
+
+def test_normal_form_rejects_an_uncertified_map(monkeypatch):
+    honest = structure._barycentric
+
+    def skewed(facets, tol):
+        drop, rest, weights = honest(facets, tol)
+        return drop, rest, weights * np.r_[1.01, np.ones(len(weights) - 1)]
+
+    monkeypatch.setattr(structure, "_barycentric", skewed)
+    with pytest.raises(NumericalError):
+        structure.simplex_normal_form(NAIMARK)
+
+
 def test_normal_form_of_reference_is_identity():
     nf = structure.simplex_normal_form(NAIMARK)
-    assert nf.mismatches == 0
+    assert normal_form_mismatches(NAIMARK, nf.map)[1] == 0
     assert np.abs(nf.map.linear - np.eye(2)).max() < 1e-8
     assert np.abs(nf.map.offset).max() < 1e-8
 
 
 def test_normal_form_of_scaled_simplex():
     nf = structure.simplex_normal_form(2.0 * NAIMARK)
-    assert nf.mismatches == 0
+    assert normal_form_mismatches(2.0 * NAIMARK, nf.map)[1] == 0
     assert np.abs(nf.map.linear - 2.0 * np.eye(2)).max() < 1e-8
     # the map sends the scaled vertices onto the reference vertices
     verts = structure.is_free_simplex(2.0 * NAIMARK).vertices
@@ -285,12 +377,11 @@ def test_simplex_from_vertices_round_trip():
     assert rep.is_simplex
     assert as_set(rep.vertices) == {(-1.0, -1.0), (2.0, 0.0), (0.0, 2.0)}
     nf = structure.simplex_normal_form(entry.pencil)
-    assert nf.mismatches == 0
+    assert normal_form_mismatches(entry.pencil, nf.map)[1] == 0
 
 
 def test_simplex_from_vertices_interval():
     entry = gallery.simplex_from_vertices([[-1.0], [1.0]])
-    from freespec import feasibility as F
     interval = gallery.interval().pencil
     assert F.inclusion(entry.pencil, interval, samples=10).status == F.INCLUDED
     assert F.inclusion(interval, entry.pencil, samples=10).status == F.INCLUDED
