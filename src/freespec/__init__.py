@@ -3,20 +3,19 @@
 The public surface re-exports the main entry points; the modules group as
 
 * :mod:`freespec.linalg` / :mod:`freespec.pencil` — Hermitian tuples, monic
-  pencils, membership, boundedness, JSON I/O,
+  pencils, membership, JSON I/O,
 * :mod:`freespec.extreme` — Euclidean / Arveson / absolute extreme point
   tests with verified witnesses, plus an independent dilation oracle,
 * :mod:`freespec.structure` — commutants, irreducible decomposition, unitary
   equivalence, minimal defining tuples, free simplices,
-* :mod:`freespec.feasibility` — hull membership, inclusion, boundary search
-  in hulls, projected spectrahedra,
+* :mod:`freespec.feasibility` — hull membership, inclusion, the exact
+  Arveson boundary of finitely generated hulls, projected spectrahedra,
 * :mod:`freespec.gallery` — worked models and their special-purpose tests.
 """
 
 from .errors import FreespecError, InputError, NumericalError
 from .pencil import (
     as_tuple,
-    bounded,
     direct_sum,
     eval_hom,
     eval_monic,
@@ -61,7 +60,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "as_tuple",
-    "bounded",
     "direct_sum",
     "eval_hom",
     "eval_monic",

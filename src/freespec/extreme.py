@@ -470,6 +470,18 @@ class OracleVerdict:
         }
 
 
+def _coordinate_directions(g: int, n: int) -> list:
+    """Unit directions ``e_ji`` and ``i e_ji`` in ``(C^n)^g``, ``j`` major."""
+    dirs = []
+    for j in range(g):
+        for i in range(n):
+            for phase in (1.0, 1j):
+                e = np.zeros((g, n), dtype=complex)
+                e[j, i] = phase
+                dirs.append(e)
+    return dirs
+
+
 def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
     """Search for one-column dilations with a convex feasibility solver.
 
@@ -493,7 +505,7 @@ def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
 
     # real parameters: alpha over the 2*g*n coordinate directions, then beta
     rng = linalg.default_rng(seed)
-    alpha_dirs = feasibility._alpha_directions(g, n, 0, rng)
+    alpha_dirs = _coordinate_directions(g, n)
     gens = []
     for e in alpha_dirs:
         c = pencil.eval_hom_col(a, e)

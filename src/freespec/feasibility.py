@@ -13,8 +13,10 @@ of it:
   ``Omega_j -> X_j`` encoded as a Choi-matrix feasibility problem.
 * :func:`inclusion` — spectrahedron inclusion ``D_B ⊆ D_A`` (Choi certificate
   for inclusion, sampled counterexamples for exclusion).
-* :func:`arveson_in_hull` — column-dilation search inside a hull, used for
-  boundary detection in finitely generated matrix convex sets.
+* :func:`arveson_in_hull` — the Arveson boundary of a finitely generated
+  hull, decided exactly: a one-column dilation read off the membership
+  certificate, or a match of every irreducible summand with an atom of
+  ``Omega``.
 * :func:`spectrahedrop_membership` — membership in a projection of a
   spectrahedron (hidden-variable completion).
 
@@ -52,11 +54,6 @@ NOT_BOUNDARY = "not_boundary"
 
 #: default residual target for feasibility claims
 FEAS_TOL = 1e-6
-
-#: random directions per seed, and the solver's iteration cap, in
-#: :func:`arveson_in_hull`
-BOUNDARY_DIRECTIONS = 6
-BOUNDARY_MAX_ITER = 4000
 
 
 @dataclass
@@ -430,15 +427,10 @@ def _unitality_rows(d: int, n: int):
     return rows, np.trace(basis, axis1=1, axis2=2).real
 
 
-def _matching_rows(omega: np.ndarray, targets, block: Optional[np.ndarray] = None):
-    """Rows enforcing Phi(Omega_j) = targets[j] (optionally on a sub-block).
-
-    ``block`` is an (n, m) isometry-like selector; when given, the constraint
-    is ``block* Phi(Omega_j) block = targets[j]`` with targets of size m.
-    """
+def _matching_rows(omega: np.ndarray, targets):
+    """Rows enforcing Phi(Omega_j) = targets[j] on the Choi matrix."""
     basis = linalg.herm_basis(targets[0].shape[0])
-    hb = basis if block is None else block @ basis @ block.conj().T
-    rows = linalg.herm_to_vec(_kron_pairs(np.transpose(omega, (0, 2, 1)), hb))
+    rows = linalg.herm_to_vec(_kron_pairs(np.transpose(omega, (0, 2, 1)), basis))
     rhs = np.trace(basis[None] @ np.asarray(targets)[:, None], axis1=2, axis2=3).real
     return rows, rhs.ravel()
 
@@ -455,7 +447,10 @@ class ChoiCertificate:
 
     ``choi`` is the PSD Choi matrix, ``isometry`` the Stinespring isometry
     ``V`` with ``X_j ≈ V* (I_m ⊗ Omega_j) V`` (kron-rank ``m`` Kraus pieces),
-    and ``residual`` the worst matching/unitality/positivity defect.
+    and ``residual`` the worst entry of any defect: matching, unitality and
+    positivity of the Choi matrix, and ``V* (I_m ⊗ Omega_j) V - X_j`` and
+    ``V* V - I`` of the isometry, whose eigenvalue cut can lose what the Choi
+    matrix keeps.
     """
 
     choi: np.ndarray
@@ -479,6 +474,14 @@ def _stinespring(choi: np.ndarray, d: int, n: int, tol: float = 1e-9):
         kraus = [np.zeros((d, n), dtype=complex)]
     vstack = np.vstack(kraus)
     return vstack, len(kraus)
+
+
+def _compress(omega: np.ndarray, iso: np.ndarray) -> np.ndarray:
+    """``W* (I_m ⊗ Omega_j) W`` for every ``j``, with ``W`` stacked from
+    ``m`` blocks of ``d`` rows (the layout of :func:`_stinespring`)."""
+    d = omega.shape[1]
+    k = iso.reshape(-1, d, iso.shape[1])
+    return np.einsum("mai,jab,mbk->jik", k.conj(), omega, k)
 
 
 @dataclass
@@ -549,11 +552,10 @@ def _separating_pencil(omega: np.ndarray, x: np.ndarray, mu: np.ndarray) -> Sepa
     return SeparatingPencil(h, value)
 
 
-def choi_problem(omega, targets, extra_rows=None, extra_rhs=None) -> FeasibilityProblem:
+def choi_problem(omega, targets) -> FeasibilityProblem:
     """Build the Choi feasibility problem for a UCP map Omega_j -> targets[j].
 
-    ``targets`` must be Hermitian of a common size n; extra rows (already in
-    realified Choi coordinates) can append e.g. normalization functionals.
+    ``targets`` must be Hermitian of a common size n.
     """
     omega = pencil.as_tuple(omega, what="generator tuple")
     targets = [linalg.check_hermitian(t, what="target") for t in targets]
@@ -561,25 +563,16 @@ def choi_problem(omega, targets, extra_rows=None, extra_rhs=None) -> Feasibility
     n = targets[0].shape[0]
     rows, rhs = _unitality_rows(d, n)
     mrows, mrhs = _matching_rows(omega, targets)
-    rows, rhs = [rows, mrows], [rhs, mrhs]
-    if extra_rows is not None:
-        rows.append(np.reshape(extra_rows, (-1, (d * n) ** 2)))
-        rhs.append(np.reshape(extra_rhs, -1))
     return FeasibilityProblem(
         dim=d * n,
         base=np.zeros((d * n, d * n), dtype=complex),
         generators=None,
-        extra=np.vstack(rows),
-        extra_rhs=np.concatenate(rhs),
+        extra=np.vstack([rows, mrows]),
+        extra_rhs=np.concatenate([rhs, mrhs]),
     )
 
 
-def hull_membership(
-    omega,
-    x,
-    tol: float = TOL,
-    max_iter: int = 5000,
-) -> HullMembershipReport:
+def hull_membership(omega, x, tol: float = TOL) -> HullMembershipReport:
     """Decide membership of ``X`` in the matrix convex hull of ``Omega``.
 
     Membership is equivalent to the existence of a unital completely positive
@@ -598,7 +591,7 @@ def hull_membership(
         return HullMembershipReport(NOT_MEMBER, None, min_eig=me, residual=np.inf)
 
     problem = choi_problem(omega, list(x))
-    res = solve_affine_psd(problem, max_iter=max_iter)
+    res = solve_affine_psd(problem)
     if res.status == INFEASIBLE:
         return HullMembershipReport(NOT_MEMBER, None, min_eig=me, residual=res.residual,
                                     separator=_separating_pencil(omega, x, res.multipliers))
@@ -610,6 +603,8 @@ def hull_membership(
     defects = [float(np.abs(apply_choi(choi, oj, d, n) - xj).max()) for oj, xj in zip(omega, x)]
     defects.append(float(np.abs(apply_choi(choi, np.eye(d), d, n) - np.eye(n)).max()))
     defects.append(res.residual)
+    defects.append(float(np.abs(_compress(omega, iso) - x).max()))
+    defects.append(float(np.abs(iso.conj().T @ iso - np.eye(n)).max()))
     cert = ChoiCertificate(choi=choi, isometry=iso, kraus_rank=rank,
                            residual=float(max(defects)))
     return HullMembershipReport(MEMBER, cert, min_eig=me, residual=cert.residual)
@@ -678,53 +673,31 @@ def inclusion(
 
 
 # ---------------------------------------------------------------------------
-# Arveson boundary inside a hull (column dilations)
+# Arveson boundary inside a hull (exact)
 # ---------------------------------------------------------------------------
-
-def _alpha_directions(g: int, n: int, extra: int, rng):
-    """Coordinate (real and imaginary) plus random unit directions in (C^n)^g."""
-    dirs = []
-    for j in range(g):
-        for i in range(n):
-            e = np.zeros((g, n), dtype=complex)
-            e[j, i] = 1.0
-            dirs.append(e)
-            e2 = np.zeros((g, n), dtype=complex)
-            e2[j, i] = 1j
-            dirs.append(e2)
-    for _ in range(extra):
-        v = rng.standard_normal((g, n)) + 1j * rng.standard_normal((g, n))
-        dirs.append(v / np.linalg.norm(v))
-    return dirs
-
-
-def _column_row(omega: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Choi row of ``Re<alpha, c>`` for a map into level ``n + 1``.
-
-    ``alpha_j`` is the last column of ``Phi(Omega_j)`` above the corner, so
-    ``Re<alpha_j, c_j> = tr(S_j Phi(Omega_j))`` with ``S_j = (c_j e* + e
-    c_j*) / 2``, and the row is that of ``sum_j kron(Omega_j^T, S_j)``.
-    """
-    g, n = c.shape
-    d = omega.shape[1]
-    e_last = np.zeros(n + 1)
-    e_last[n] = 1.0
-    cvec = np.zeros((g, n + 1), dtype=complex)
-    cvec[:, :n] = c
-    s = 0.5 * (cvec[:, :, None] * e_last[None, None, :]
-               + e_last[None, :, None] * cvec.conj()[:, None, :])
-    terms = np.transpose(omega, (0, 2, 1))[:, :, None, :, None] * s[:, None, :, None, :]
-    mat = terms.sum(axis=0).reshape(d * (n + 1), d * (n + 1))
-    return linalg.herm_to_vec(linalg.hermitian_part(mat))
-
 
 @dataclass
 class HullBoundaryReport:
+    """Outcome of :func:`arveson_in_hull`, with the evidence for it.
+
+    ``not_boundary``: the isometry ``W = [V u]`` gives ``dilated = W* (I_m ⊗
+    generator_j) W``, whose corner is ``X``, whose column ``alpha`` is
+    nonzero and whose last diagonal entry is ``beta``. ``generator`` is
+    ``Omega``, or the pruned tuple of :func:`structure.minimal_defining`,
+    whose hull is the same. ``boundary``: ``unitary* X_j unitary = atoms_j``,
+    a direct sum of atoms of ``Omega``. ``directions_tried`` counts the
+    dilations built (0 to 2).
+    """
+
     status: str
     alpha: Optional[np.ndarray]
     beta: Optional[np.ndarray]
     dilated: Optional[np.ndarray]
     directions_tried: int
+    isometry: Optional[np.ndarray] = None
+    generator: Optional[np.ndarray] = None
+    unitary: Optional[np.ndarray] = None
+    atoms: Optional[np.ndarray] = None
 
     @property
     def is_boundary(self) -> bool:
@@ -737,65 +710,116 @@ class HullBoundaryReport:
         return out
 
 
-def arveson_in_hull(
-    omega,
-    x,
-    seed=0,
-    tol: float = TOL,
-    delta: float = 1e-2,
-) -> HullBoundaryReport:
-    """Column-dilation test for the Arveson boundary of ``mco({Omega})``.
+def _certificate_dilation(omega, x, iso, delta, built) -> Optional[HullBoundaryReport]:
+    """The one-column dilation of a membership certificate, or None when it
+    is too small to prove anything.
 
-    For each normalized direction ``c`` the Choi problem for the dilated
-    target ``[[X, alpha], [alpha*, beta]]`` is solved jointly in the Choi
-    matrix with the off-diagonal column and corner left free except for the
-    normalization ``Re<c, alpha> = delta``. A feasible solve is verified by
-    an independent hull-membership run on the dilated tuple; if every
-    direction fails under two seeds, the point is reported as boundary.
+    With ``X = V* (I_m ⊗ Omega) V``, ``M = (I - V V*) [(I_m ⊗ Omega_j) V]_j``
+    is zero exactly when the range of ``V`` reduces ``I_m ⊗ Omega``. Its top
+    left singular vector ``u`` gives the isometry ``W = [V u]`` and the
+    column ``alpha_j = V* (I_m ⊗ Omega_j) u``, with ``||alpha|| = ||M||``. The
+    dilation counts when ``||alpha|| >= delta / 4`` and ``sqrt(defect) <= 1e-3
+    ||alpha||``, ``defect`` being the worst entry of ``W* W - I`` and of the
+    corner minus ``X``: a column no larger than what the defects could fake
+    proves nothing.
     """
+    g, d, n = omega.shape[0], omega.shape[1], x.shape[1]
+    k = iso.reshape(-1, d, n)
+    moved = np.einsum("jab,mbk->jmak", omega, k).reshape(g, -1, n)
+    off = moved - iso @ (iso.conj().T @ moved)
+    u = np.linalg.svd(np.concatenate(list(off), axis=1), full_matrices=False)[0][:, 0]
+    w = np.column_stack([iso, u])
+    dilated = _compress(omega, w)
+    alpha, beta = dilated[:, :n, n], dilated[:, n, n].real
+    defect = max(float(np.abs(w.conj().T @ w - np.eye(n + 1)).max()),
+                 float(np.abs(dilated[:, :n, :n] - x).max()))
+    size = float(np.linalg.norm(alpha))
+    if size < 0.25 * delta or np.sqrt(defect) > 1e-3 * size:
+        return None
+    return HullBoundaryReport(NOT_BOUNDARY, alpha, beta, dilated, built,
+                              isometry=w, generator=omega)
+
+
+def arveson_in_hull(omega, x, tol: float = TOL, delta: float = 1e-2) -> HullBoundaryReport:
+    """Decide whether ``X`` lies in the Arveson boundary of ``mco({Omega})``.
+
+    Call an irreducible summand of ``Omega`` an *atom* when it is not in the
+    matrix convex hull of the summands inequivalent to it. The test rests on
+
+        X is in the Arveson boundary iff every irreducible summand of X is
+        unitarily equivalent to an atom.
+
+    Write ``K = mco({Omega})`` and ``X = V* (I_m ⊗ Omega) V`` for a
+    Stinespring isometry ``V`` (a certificate of membership).
+
+    1. *Every certificate of a boundary point has a reducing range.* If
+       ``(I - V V*) (I_m ⊗ Omega_j) V != 0`` for some ``j``, a unit vector
+       ``u`` of its range is orthogonal to ``V`` and ``W = [V u]`` gives
+       ``W* (I_m ⊗ Omega) W in K``, a dilation of ``X`` with the nonzero
+       column ``V* (I_m ⊗ Omega_j) u``.
+    2. *Summands of boundary points are boundary points.* A nontrivial
+       dilation of ``X_1`` in ``K``, summed with ``X_2``, is a nontrivial
+       dilation of ``X_1 ⊕ X_2`` in ``K`` (matrix convex sets are closed
+       under direct sums).
+    3. *Direct sums of boundary points are boundary points.* Compressing a
+       dilation of ``X_1 ⊕ X_2`` in ``K`` onto each block and the new column
+       gives a dilation of each ``X_i`` in ``K``; both columns vanish, so
+       the column of the sum does.
+    4. *A non-atom is never a boundary point.* A summand ``S`` in the hull of
+       the summands inequivalent to it has a certificate over those; by 1 a
+       boundary point's certificate is reducing, which would make ``S``
+       equivalent to a summand of the ampliation, one it is inequivalent to.
+    5. *Atoms are boundary points.* Only this step needs Arveson's boundary
+       theorem (Arveson, Acta Math. 1972) in finite dimensions; equivalently,
+       an atom has the unique extension property (Dritschel & McCullough,
+       J. Operator Theory 2005; Davidson & Kennedy, Duke Math. J. 2015).
+       With 2 and 3 it gives the "if" direction; 2 and 4 give "only if",
+       since every irreducible summand of a member is, by 1, equivalent to
+       a summand of ``Omega``.
+
+    The route: :func:`hull_membership` first (a non-member raises
+    ``InputError``). Its certificate gives the dilation of step 1; when that
+    column passes the size rule of :func:`_certificate_dilation` (``delta``
+    is its floor), the answer is ``not_boundary`` with the dilation, which a
+    reader re-checks with one matrix product. Otherwise
+    :func:`structure.minimal_defining` prunes ``Omega`` to its atoms, and the
+    answer is ``boundary`` when no kept summand carries a caveat and every
+    irreducible summand of ``X`` matches one, with the unitary of
+    :func:`structure.match_summands`. Else the certificate over the pruned
+    tuple (over ``Omega`` a point equivalent to a redundant summand has a
+    reducing one) must give the dilation. Anything else raises
+    ``NumericalError``: ``boundary`` never comes without proof.
+    """
+    from . import structure
+
     omega = pencil.as_tuple(omega, what="generator tuple")
     x = pencil.as_tuple(x, what="point")
-    base_rep = hull_membership(omega, x, tol=tol, max_iter=BOUNDARY_MAX_ITER)
-    if base_rep.status == NOT_MEMBER:
+    rep = hull_membership(omega, x, tol=tol)
+    if rep.status == NOT_MEMBER:
         raise InputError("point is not in the hull; Arveson test needs a member")
-    g, n = x.shape[0], x.shape[1]
-    d = omega.shape[1]
-
-    # constraints shared by every direction: unitality + matching on the
-    # top-left n x n corner of the dilated (n+1)-level target
-    sel = np.zeros((n + 1, n), dtype=complex)
-    sel[:n, :n] = np.eye(n)
-    rows, rhs = _unitality_rows(d, n + 1)
-    mrows, mrhs = _matching_rows(omega, list(x), block=sel)
-    rows = np.vstack([rows, mrows])
-    rhs = np.concatenate([rhs, mrhs, [delta]])
-
-    tried = 0
-    for attempt_seed in (seed, None if seed is None else seed + 104729):
-        rng = linalg.default_rng(attempt_seed)
-        for c in _alpha_directions(g, n, BOUNDARY_DIRECTIONS, rng):
-            tried += 1
-            problem = FeasibilityProblem(
-                dim=d * (n + 1),
-                base=np.zeros((d * (n + 1), d * (n + 1)), dtype=complex),
-                generators=None,
-                extra=np.vstack([rows, _column_row(omega, c)]),
-                extra_rhs=rhs,
-            )
-            res = solve_affine_psd(problem, max_iter=BOUNDARY_MAX_ITER)
-            if not res.feasible:
-                continue
-            dilated = np.stack(
-                [linalg.hermitian_part(apply_choi(res.z, oj, d, n + 1)) for oj in omega]
-            )
-            alpha = dilated[:, :n, n]
-            beta = dilated[:, n, n].real
-            if np.linalg.norm(alpha) < 0.25 * delta:
-                continue
-            check = hull_membership(omega, dilated, tol=tol, max_iter=BOUNDARY_MAX_ITER)
-            if check.status == MEMBER:
-                return HullBoundaryReport(NOT_BOUNDARY, alpha, beta, dilated, tried)
-    return HullBoundaryReport(BOUNDARY, None, None, None, tried)
+    built = 0
+    if rep.is_member:
+        built += 1
+        found = _certificate_dilation(omega, x, rep.certificate.isometry, delta, built)
+        if found is not None:
+            return found
+    md = structure.minimal_defining(omega, tol=tol)
+    if md.caveats:
+        raise NumericalError("atoms of the generator are not certified: "
+                             + "; ".join(md.caveats))
+    match = structure.match_summands(x, md.summands, tol=tol)
+    if match is not None:
+        unitary, atoms = match
+        return HullBoundaryReport(BOUNDARY, None, None, None, built,
+                                  unitary=unitary, atoms=atoms)
+    rep = hull_membership(md.tuple, x, tol=tol)
+    if rep.is_member:
+        built += 1
+        found = _certificate_dilation(md.tuple, x, rep.certificate.isometry, delta, built)
+        if found is not None:
+            return found
+    raise NumericalError("point matches no atom, and its membership certificate "
+                         "gives no dilation above the size rule")
 
 
 # ---------------------------------------------------------------------------

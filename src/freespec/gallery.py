@@ -6,8 +6,8 @@ hidden coordinate). Alongside the entries live their special-purpose tests:
 
 * the free cube and the symmetry tuples that populate its boundary,
 * the spin disk (commuting boundary pairs are the Arveson boundary),
-* the wild disk ``{I - X^2 - Y^2 >= 0}`` with a closed-form Arveson test
-  and a corank-one explicit dilation builder,
+* the wild disk ``{I - X^2 - Y^2 >= 0}`` with a corank-one explicit
+  dilation builder,
 * the reference simplex in g variables,
 * a pencil in (x, y, w) whose projection to (x, y) is the degree-4 set
   ``{I - X^2 - Y^4 >= 0}`` ("TV screen"), including the distinguished
@@ -130,21 +130,6 @@ def spin_boundary_point(angles) -> np.ndarray:
                      np.diag(np.sin(angles)).astype(complex)])
 
 
-def spin_arveson_expected(x, tol: float = TOL) -> bool:
-    """Closed-form Arveson membership for the spin disk.
-
-    A boundary pair is in the Arveson boundary iff it commutes and satisfies
-    ``X1^2 + X2^2 = I``.
-    """
-    x = pencil.as_tuple(x, what="point")
-    if x.shape[0] != 2:
-        raise InputError("spin disk points have two coordinates")
-    x1, x2 = x
-    comm = float(np.abs(x1 @ x2 - x2 @ x1).max())
-    defect = float(np.abs(np.eye(x1.shape[0]) - x1 @ x1 - x2 @ x2).max())
-    return comm <= tol and defect <= tol
-
-
 # ---------------------------------------------------------------------------
 # wild disk
 # ---------------------------------------------------------------------------
@@ -173,59 +158,6 @@ def _range_basis(p, tol):
     w, v = linalg.eigh(p)
     cut = tol * max(1.0, float(np.abs(w).max(initial=0.0)))
     return v[:, np.abs(w) > cut]
-
-
-@dataclass
-class WildArvesonReport:
-    arveson: bool
-    kernel_dim: int
-    injective: bool
-    trivial_intersection: bool
-
-    def __bool__(self) -> bool:
-        return self.arveson
-
-    def to_json(self) -> dict:
-        return {
-            "arveson": self.arveson,
-            "kernel_dim": self.kernel_dim,
-            "injective": self.injective,
-            "trivial_intersection": self.trivial_intersection,
-        }
-
-
-def wild_arveson_test(x, y, tol: float = TOL) -> WildArvesonReport:
-    """Closed-form Arveson test for the wild disk.
-
-    With ``K = ker(I - X^2 - Y^2)``, the pair is in the Arveson boundary iff
-    the compressions of X and Y mapping ``K^perp -> K`` are both injective
-    and their ranges intersect trivially.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    n = x.shape[0]
-    p = wild_poly(x, y)
-    if linalg.min_eig(p) < -tol:
-        raise InputError("point is outside the wild disk")
-    kern = linalg.null_space(p, tol=tol)
-    k = kern.shape[1]
-    comp = _range_basis(p, tol)  # orthonormal basis of K^perp
-    m = comp.shape[1]
-    if m == 0:
-        # the polynomial vanishes identically: nothing to dilate against
-        return WildArvesonReport(True, k, True, True)
-    x12 = kern.conj().T @ x @ comp  # (k, m)
-    y12 = kern.conj().T @ y @ comp
-    def injective(mat):
-        s = np.linalg.svd(mat, compute_uv=False)
-        cut = tol * max(1.0, s[0] if s.size else 0.0)
-        return mat.shape[0] >= mat.shape[1] and (s > cut).sum() == mat.shape[1]
-    inj = injective(x12) and injective(y12)
-    both = np.hstack([x12, y12])
-    s = np.linalg.svd(both, compute_uv=False)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    trivial = inj and (s > cut).sum() == 2 * m
-    return WildArvesonReport(inj and trivial, k, inj, trivial)
 
 
 @dataclass

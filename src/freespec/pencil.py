@@ -1,4 +1,4 @@
-"""Monic linear pencils, tuple JSON I/O, membership and boundedness.
+"""Monic linear pencils, tuple JSON I/O and membership.
 
 A g-tuple ``A`` of Hermitian ``d x d`` coefficient matrices defines the monic
 pencil ``L_A(X) = I - sum_j A_j ⊗ X_j`` and its homogeneous part
@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,112 +291,3 @@ def scale_to_boundary(a, h, tol: float = TOL):
         return None
     t = 1.0 / top
     return t, t * np.asarray(h, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# boundedness (probabilistic, level 1)
-# ---------------------------------------------------------------------------
-
-BOUNDED = "bounded"
-UNBOUNDED = "unbounded"
-INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class BoundednessReport:
-    """Outcome of the level-1 recession-direction search.
-
-    ``verdict`` is bounded / unbounded / inconclusive; for unbounded, ``witness``
-    is a unit vector ``y`` with ``lambda_max(Lam_A(y)) <= tol`` so that the ray
-    ``t*y`` stays in the spectrahedron for all ``t >= 0``. Bounded is only
-    reported when every probe stayed above a positive margin; the verdict is
-    probabilistic and says nothing rigorous about unexplored directions.
-    """
-
-    verdict: str
-    witness: Optional[np.ndarray]
-    margin: float
-    probes: int = 0
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict, "margin": self.margin, "probes": self.probes}
-        if self.witness is not None:
-            out["witness"] = [float(v) for v in self.witness]
-        return out
-
-
-def _lam_top(a, y):
-    return float(linalg.eigh(eval_hom(a, y.reshape(-1, 1, 1)).astype(complex)).w[-1])
-
-
-def _refine_direction(a, y, steps: int = 60):
-    """Subgradient descent for lambda_max(Lam_A(y)) on the unit sphere."""
-    g = a.shape[0]
-    y = y / np.linalg.norm(y)
-    best = _lam_top(a, y)
-    step = 0.5
-    for _ in range(steps):
-        lam = eval_hom(a, y.reshape(-1, 1, 1))
-        w, v = linalg.eigh(lam)
-        top_vec = v[:, -1]
-        grad = np.array([float((top_vec.conj() @ aj @ top_vec).real) for aj in a])
-        cand = y - step * grad
-        nrm = np.linalg.norm(cand)
-        if nrm < 1e-12:
-            step /= 2
-            continue
-        cand = cand / nrm
-        val = _lam_top(a, cand)
-        if val < best - 1e-14:
-            y, best = cand, val
-        else:
-            step /= 2
-            if step < 1e-6:
-                break
-    return y, best
-
-
-def bounded(a, trials: int = 32, seed=0, tol: float = TOL) -> BoundednessReport:
-    """Search for recession directions of the level-1 spectrahedron.
-
-    Combines an exact lineality check (kernel of ``y -> Lam_A(y)`` via SVD),
-    coordinate and random probes, and subgradient refinement of the most
-    promising probes. See :class:`BoundednessReport` for the verdict semantics.
-    """
-    a = as_tuple(a, what="pencil")
-    g, d = a.shape[0], a.shape[1]
-    rng = linalg.default_rng(seed)
-
-    # exact lineality directions: Lam_A(y) = 0 with y real
-    cols = np.stack([np.concatenate([aj.real.ravel(), aj.imag.ravel()]) for aj in a]).T
-    lin = linalg.null_space(cols, tol=tol).real
-    if lin.shape[1] > 0:
-        y = lin[:, 0]
-        y = y / np.linalg.norm(y)
-        return BoundednessReport(UNBOUNDED, y, margin=0.0)
-
-    probes = []
-    for j in range(g):
-        e = np.zeros(g)
-        e[j] = 1.0
-        probes.extend([e, -e])
-    for _ in range(max(trials, 4)):
-        v = rng.standard_normal(g)
-        probes.append(v / np.linalg.norm(v))
-
-    scored = sorted(probes, key=lambda y: _lam_top(a, y / np.linalg.norm(y)))
-    best_y, best_val = None, np.inf
-    for y in scored[: max(4, trials // 4)]:
-        ry, rv = _refine_direction(a, y)
-        if rv < best_val:
-            best_y, best_val = ry, rv
-        if rv <= tol:
-            break
-    n_probes = len(probes)
-
-    if best_val <= tol:
-        return BoundednessReport(UNBOUNDED, best_y, margin=best_val, probes=n_probes)
-    # require a clear margin before claiming boundedness
-    if best_val > 1e-6:
-        return BoundednessReport(BOUNDED, None, margin=best_val, probes=n_probes)
-    return BoundednessReport(INCONCLUSIVE, None, margin=best_val, probes=n_probes)

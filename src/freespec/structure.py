@@ -6,13 +6,15 @@ cuts a tuple at the largest spectral gap of a Hermitian commutant element, a
 deterministic rule shared by the irreducibility test and by
 ``decompose_irreducibles``, which splits any tuple into a direct sum of
 irreducibles grouped into unitary equivalence classes with multiplicities.
-``intertwiners`` solves ``C X_j = Y_j C`` for the commutant and for
-``unitarily_equivalent``; ``minimal_defining`` prunes summands that do not
-change the free spectrahedron. Free simplices (bounded spectrahedra of
-commuting minimal tuples with g+1 summands; the facet matrix decides
-boundedness) get a normal form onto the fixed reference tuple
-:func:`reference_simplex`, certified by unitary equivalence (the
-Gleichstellensatz). Nothing here samples points to check its own answer.
+``intertwiners`` solves ``C X_j = Y_j C`` for the commutant, for
+``unitarily_equivalent`` and for ``match_summands``; ``minimal_defining``
+prunes summands that do not change the free spectrahedron, which leaves the
+atoms of the polar dual hull (see :func:`feasibility.arveson_in_hull`). Free
+simplices (bounded spectrahedra of commuting minimal tuples with g+1
+summands; the facet matrix decides boundedness) get a normal form onto the
+fixed reference tuple :func:`reference_simplex`, certified by unitary
+equivalence (the Gleichstellensatz). Nothing here samples points to check
+its own answer.
 """
 
 from __future__ import annotations
@@ -272,6 +274,44 @@ def unitarily_equivalent(x, y, tol: float = TOL):
     return True, big_u
 
 
+def match_summands(x, summands, tol: float = TOL):
+    """``(U, Y)`` with ``U* X_j U = Y_j``, ``Y`` a direct sum of members of
+    ``summands`` (irreducible tuples), or None when some irreducible summand
+    of ``X`` is equivalent to none of them.
+
+    Each class of :func:`decompose_irreducibles` is matched through the
+    intertwiner equation; a ``U`` that misses ``Y`` or unitarity by more than
+    1e-7 raises ``NumericalError``.
+    """
+    x = pencil.as_tuple(x, what="tuple")
+    dec = decompose_irreducibles(x, tol=tol)
+    rotations, parts = [], []
+    for block, mult in zip(dec.blocks, dec.multiplicities):
+        for atom in summands:
+            if atom.shape[1] == block.shape[1]:
+                ok, u = _equivalent_irreducible(block, atom, tol=tol)
+                if ok:
+                    break
+        else:
+            return None
+        rotations.extend([u] * mult)
+        parts.extend([atom] * mult)
+    n = x.shape[1]
+    t, at = np.zeros((n, n), dtype=complex), 0
+    for u in rotations:
+        size = u.shape[0]
+        t[at:at + size, at:at + size] = u
+        at += size
+    unitary = dec.unitary @ t
+    target = pencil.direct_sum(parts)
+    err = max(float(np.abs(unitary.conj().T @ unitary - np.eye(n)).max()),
+              max(float(np.abs(unitary.conj().T @ xj @ unitary - yj).max())
+                  for xj, yj in zip(x, target)))
+    if err > 1e-7:
+        raise NumericalError(f"summand match residual {err:.2e} exceeds 1e-7")
+    return unitary, target
+
+
 # ---------------------------------------------------------------------------
 # minimal defining tuples
 # ---------------------------------------------------------------------------
@@ -280,17 +320,20 @@ def unitarily_equivalent(x, y, tol: float = TOL):
 class MinimalDefiningReport:
     """A pruned tuple defining the same free spectrahedron.
 
-    ``duplicates_removed`` counts equivalent irreducible copies merged during
-    decomposition; ``summands_removed`` counts inequivalent summands whose
-    removal was certified not to change the spectrahedron. ``caveats`` lists
-    anything that kept the search conservative (e.g. inclusion solves that
-    returned no certificate, so a possibly redundant summand was kept).
+    ``tuple`` is the direct sum of the kept inequivalent irreducible
+    ``summands``. ``duplicates_removed`` counts equivalent irreducible copies
+    merged during decomposition; ``summands_removed`` counts inequivalent
+    summands whose removal was certified not to change the spectrahedron.
+    ``caveats`` lists anything that kept the search conservative (e.g.
+    inclusion solves that returned no certificate, so a possibly redundant
+    summand was kept).
     """
 
     tuple: np.ndarray
     summands_removed: int
     duplicates_removed: int
     caveats: list
+    summands: list = field(default_factory=list, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -301,19 +344,14 @@ class MinimalDefiningReport:
         }
 
 
-def minimal_defining(
-    a,
-    tol: float = TOL,
-    seed=0,
-    level_cap: int = 2,
-) -> MinimalDefiningReport:
+def minimal_defining(a, tol: float = TOL, seed=0) -> MinimalDefiningReport:
     """Prune a defining tuple without changing its free spectrahedron.
 
     Decomposes into inequivalent irreducible summands (dropping repeated
     copies, which never change the spectrahedron), then greedily removes
     summands — largest first, trace order breaking ties — whenever the
     remaining direct sum's spectrahedron is certified to sit inside the
-    candidate's. ``seed`` and ``level_cap`` reach only the witness search of
+    candidate's. ``seed`` reaches only the witness search of
     :func:`feasibility.inclusion`.
 
     The result rests on per-summand evidence, not on samples: every removal
@@ -321,6 +359,10 @@ def minimal_defining(
     witness (a point of the rest outside it) or a "no certificate" caveat.
     Removing summands only enlarges the spectrahedron of the rest, so a
     witness found against a larger rest stays valid in the final tuple.
+
+    A Choi certificate of ``D_rest ⊆ D_i`` puts summand ``i`` in the matrix
+    convex hull of the rest, and a witness keeps it out, so without caveats
+    the kept ``summands`` are the atoms of :func:`feasibility.arveson_in_hull`.
     """
     a = pencil.as_tuple(a, what="pencil")
     dec = decompose_irreducibles(a, tol=tol)
@@ -340,8 +382,7 @@ def minimal_defining(
             break
         others = [reps[k] for k in sorted(keep - {i})]
         rest = pencil.direct_sum(others)
-        res = feasibility.inclusion(rest, reps[i], level_cap=level_cap,
-                                    seed=seed, tol=tol)
+        res = feasibility.inclusion(rest, reps[i], seed=seed, tol=tol)
         if res.status == feasibility.INCLUDED:
             keep.discard(i)
             removed += 1
@@ -349,11 +390,13 @@ def minimal_defining(
             caveats.append(
                 f"summand {i} kept: inclusion solver returned no certificate"
             )
+    kept = [reps[k] for k in sorted(keep)]
     return MinimalDefiningReport(
-        tuple=pencil.direct_sum([reps[k] for k in sorted(keep)]),
+        tuple=pencil.direct_sum(kept),
         summands_removed=removed,
         duplicates_removed=duplicates,
         caveats=caveats,
+        summands=kept,
     )
 
 

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from freespec import linalg, pencil
+import oracles
 
 
 def random_bounded_pencil(rng, g, d, tries=60):
     """Rejection-sample a Hermitian tuple whose spectrahedron is bounded."""
     for _ in range(tries):
         a = linalg.random_herm_tuple(g, d, rng)
-        rep = pencil.bounded(a, trials=16, seed=int(rng.integers(2**31)))
-        if rep.verdict == pencil.BOUNDED:
+        rep = oracles.bounded(a, trials=16, seed=int(rng.integers(2**31)))
+        if rep.verdict == oracles.BOUNDED:
             return a
     raise RuntimeError(f"no bounded pencil found in {tries} tries (g={g}, d={d})")
 

@@ -88,7 +88,7 @@ def test_criterion_02_spin_disk():
 
     # commute and I - X1^2 - X2^2 = 0 if and only if Arveson, on every sample
     for x in samples:
-        assert extreme.is_arveson(spin, x).boundary == gallery.spin_arveson_expected(x)
+        assert extreme.is_arveson(spin, x).boundary == oracles.spin_arveson_expected(x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_criterion_07_wild_disk():
             x, y = x.astype(complex), y.astype(complex)
             while linalg.min_eig(gallery.wild_poly(x, y)) < 1e-6:
                 x, y = 0.5 * x, 0.5 * y
-        direct = gallery.wild_arveson_test(x, y).arveson
+        direct = oracles.wild_arveson_test(x, y).arveson
         kernel = extreme.is_arveson(wd, np.stack([x, y])).boundary
         assert direct == kernel, i
         agreements += 1
@@ -249,7 +249,7 @@ def test_criterion_07_wild_disk():
     lifted = 0
     for i in range(20):
         x, y = wild_corank1_pair(rng, n=2)
-        assert not gallery.wild_arveson_test(x, y).arveson, i
+        assert not oracles.wild_arveson_test(x, y).arveson, i
         rep = gallery.lift_one(x, y)
         defect = np.abs(gallery.wild_poly(rep.x_lift, rep.y_lift)).max()
         assert defect <= 1e-8, i
@@ -267,7 +267,7 @@ def test_criterion_07_wild_disk():
             y = 0.4 * linalg.random_herm(3, rng).astype(complex)
             while linalg.min_eig(gallery.wild_poly(x, y)) < 1e-6:
                 x, y = 0.5 * x, 0.5 * y
-        rep = gallery.wild_arveson_test(x, y)
+        rep = oracles.wild_arveson_test(x, y)
         assert rep.kernel_dim <= 1, i
         assert not rep.arveson, i
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from freespec import extreme, gallery, linalg, pencil
 from freespec.errors import InputError, NumericalError
-from conftest import boundary_point, interior_point, random_bounded_pencil
+from conftest import bits, boundary_point, interior_point, random_bounded_pencil
+import oracles
 
 INTERVAL = gallery.interval().pencil
 CUBE = gallery.cube(2).pencil
@@ -411,6 +412,19 @@ def test_not_arveson_survives_direct_sum_with_arveson():
 # ---------------------------------------------------------------------------
 # independent dilation oracle
 # ---------------------------------------------------------------------------
+
+def test_oracle_directions_are_the_search_coordinates():
+    # dilation_oracle keeps the coordinate directions of the hull direction
+    # search, in the same order, drawing nothing from its rng
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for g, n in ((1, 1), (2, 3), (3, 2)):
+        mine = extreme._coordinate_directions(g, n)
+        theirs = oracles._alpha_directions(g, n, 0, rng)
+        assert len(mine) == len(theirs) == 2 * g * n
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(mine, theirs))
+    assert rng.bit_generator.state == state
+
 
 @pytest.mark.parametrize("seed", range(4))
 def test_oracle_agrees_with_kernel_test(seed):

@@ -4,7 +4,7 @@ import pytest
 
 from freespec import feasibility as F
 from freespec import gallery, linalg, pencil
-from freespec.errors import InputError
+from freespec.errors import InputError, NumericalError
 from conftest import random_bounded_pencil, separator_holds
 import oracles
 
@@ -318,6 +318,24 @@ def oj_amp(oj, k):
     return np.kron(np.eye(k), oj)
 
 
+def test_certificate_residual_covers_the_isometry():
+    # the Choi matrix meets its rows to 1e-15 here, while the eigenvalue cut
+    # of the Stinespring factor leaves defects near 4.5e-10
+    rng = linalg.default_rng(16)
+    omega = linalg.random_herm_tuple(2, 4, rng)
+    v = linalg.random_isometry(3, 4, rng)
+    x = np.stack([v.conj().T @ oj @ v for oj in omega])
+    rep = F.hull_membership(omega, x)
+    assert rep.status == F.MEMBER
+    iso, k = rep.certificate.isometry, rep.certificate.kraus_rank
+    defect = max(np.abs(iso.conj().T @ iso - np.eye(3)).max(),
+                 max(np.abs(iso.conj().T @ oj_amp(oj, k) @ iso - xj).max()
+                     for oj, xj in zip(omega, x)))
+    assert defect > 1e-12
+    assert rep.certificate.residual >= defect
+    assert rep.residual == rep.certificate.residual
+
+
 def test_hull_membership_vertex_rows_of_simplex():
     # level-one hull points of the reference simplex: joint eigenvalue rows
     for u, v in ((-1.0, 0.0), (0.0, -1.0), (1.0 / 3.0, 1.0 / 3.0)):
@@ -440,10 +458,12 @@ def test_choi_rows_pair_with_their_matrices(d, n):
         got, want = _herm_pairing(row, np.kron(np.eye(d), h), rng)
         assert abs(got - want) < 1e-12
         assert r == np.trace(h).real
+    # the corner and column rows are built by the direction-search oracle
     sel = np.zeros((n + 1, n), dtype=complex)
     sel[:n, :n] = np.eye(n)
-    for block, size in ((None, n), (sel, n + 1)):
-        rows, rhs = F._matching_rows(omega, targets, block=block)
+    for build, block, size in ((F._matching_rows, None, n),
+                               (oracles._corner_rows, sel, n + 1)):
+        rows, rhs = build(omega, targets)
         assert rows.shape == (2 * n * n, (d * size) ** 2)
         pairs = [(oj, tj, h) for oj, tj in zip(omega, targets) for h in basis]
         for row, r, (oj, tj, h) in zip(rows, rhs, pairs):
@@ -456,7 +476,7 @@ def test_choi_rows_pair_with_their_matrices(d, n):
     s[:, :n, n] = c / 2
     s[:, n, :n] = c.conj() / 2
     h = sum(np.kron(oj.T, sj) for oj, sj in zip(omega, s))
-    got, want = _herm_pairing(F._column_row(omega, c), h, rng)
+    got, want = _herm_pairing(oracles._column_row(omega, c), h, rng)
     assert abs(got - want) < 1e-12
 
 
@@ -545,6 +565,165 @@ def test_arveson_in_hull_direct_sum_of_rows():
     x = pencil.direct_sum([scalar_pair(-1.0, 0.0), scalar_pair(0.0, -1.0)])
     rep = F.arveson_in_hull(NAIMARK, x)
     assert rep.status == F.BOUNDARY
+
+
+def conj_tuple(u, x):
+    return np.stack([u.conj().T @ xj @ u for xj in x])
+
+
+def traceless(g, d, rng):
+    a = linalg.random_herm_tuple(g, d, rng)
+    return a - np.einsum("gii->g", a).real[:, None, None] / d * np.eye(d)
+
+
+def vertex_rows(omega):
+    """Level-1 points ``(Omega_1[i, i], ..., Omega_g[i, i])`` of a diagonal tuple."""
+    return [omega[:, i, i].real.reshape(-1, 1, 1).astype(complex)
+            for i in range(omega.shape[1])]
+
+
+def dilation_holds(x, rep, delta=1e-2):
+    """Re-check a ``not_boundary`` witness with ``np.kron``: ``W`` is an
+    isometry and ``W* (I_m ⊗ generator_j) W`` is the dilation, with corner
+    ``X``, column ``alpha`` and corner entry ``beta``, all within the size rule
+    ``||alpha|| >= delta / 4`` and ``sqrt(defect) <= 1e-3 ||alpha||``."""
+    w, gen, n = rep.isometry, rep.generator, x.shape[1]
+    m = w.shape[0] // gen.shape[1]
+    size = np.linalg.norm(rep.alpha)
+    defect = np.abs(w.conj().T @ w - np.eye(n + 1)).max()
+    for gj, xj, zj, aj, bj in zip(gen, x, rep.dilated, rep.alpha, rep.beta):
+        z = w.conj().T @ np.kron(np.eye(m), gj) @ w
+        assert np.abs(z - zj).max() <= 1e-12
+        assert np.abs(z[:n, n] - aj).max() <= 1e-12 and abs(z[n, n] - bj) <= 1e-12
+        defect = max(defect, np.abs(z[:n, :n] - xj).max())
+    return size >= 0.25 * delta and np.sqrt(defect) <= 1e-3 * size
+
+
+def match_holds(x, rep):
+    """Re-check a ``boundary`` verdict: ``U`` is unitary and ``U* X U`` is the
+    reported direct sum of atoms, both to 1e-7."""
+    u, n = rep.unitary, x.shape[1]
+    return (np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-7
+            and np.abs(conj_tuple(u, x) - rep.atoms).max() <= 1e-7)
+
+
+def test_arveson_in_hull_battery():
+    # truth by construction: compressions of I_2 ⊗ Omega to a lower level
+    # are never boundary points; direct sums of atoms, scrambled by a
+    # unitary, always are
+    rng = linalg.default_rng(3131)
+    cases = []
+    for g in (1, 2, 3):
+        omega = gallery.simplex(g).pencil
+        amp = pencil.direct_sum([omega, omega])
+        for i in range(16):
+            v = linalg.random_isometry(1 + i % 2, 2 * (g + 1), rng)
+            cases.append((omega, conj_tuple(v, amp), False))
+        rows = vertex_rows(omega)
+        for i in range(7):
+            x = pencil.direct_sum([rows[k] for k in rng.choice(g + 1, size=1 + i % 3)])
+            cases.append((omega, conj_tuple(linalg.random_isometry(x.shape[1], x.shape[1], rng),
+                                            x), True))
+    for d in (2, 3):
+        for _ in range(3):
+            omega = traceless(2, d, rng)
+            amp = pencil.direct_sum([omega, omega])
+            for i in range(4):
+                v = linalg.random_isometry(1 + i % 2, 2 * d, rng)
+                cases.append((omega, conj_tuple(v, amp), False))
+            cases.append((omega, conj_tuple(linalg.random_isometry(d, d, rng), omega), True))
+            if d == 2:
+                u = linalg.random_isometry(2 * d, 2 * d, rng)
+                cases.append((omega, conj_tuple(u, amp), True))
+    assert len(cases) >= 100
+    for i, (omega, x, boundary) in enumerate(cases):
+        rep = F.arveson_in_hull(omega, x)
+        assert rep.is_boundary == boundary, i
+        if boundary:
+            assert match_holds(x, rep), i
+        else:
+            assert dilation_holds(x, rep), i
+            assert rep.directions_tried == 1, i
+
+
+def test_direction_search_finds_nothing_at_exact_boundary_points():
+    # the random direction search is the independent oracle: it must find
+    # no dilation where the exact route proves the boundary
+    s1, s2 = gallery.simplex(1).pencil, gallery.simplex(2).pencil
+    u = linalg.random_isometry(2, 2, linalg.default_rng(7))
+    points = [(s1, x) for x in vertex_rows(s1)] + [(s2, x) for x in vertex_rows(s2)]
+    points.append((s1, conj_tuple(u, s1)))
+    assert len(points) >= 6
+    for i, (omega, x) in enumerate(points):
+        assert F.arveson_in_hull(omega, x).is_boundary, i
+        assert oracles.hull_dilation_search(omega, x).status == F.BOUNDARY, i
+
+
+def test_arveson_in_hull_with_a_redundant_summand():
+    # simplex(2) ⊕ its barycenter: the barycenter is no atom
+    s2 = gallery.simplex(2).pencil
+    rows = vertex_rows(s2)
+    bary = sum(rows) / 3
+    omega = pencil.direct_sum([s2, bary])
+    for x, boundary in ((rows[0], True), (s2, True), (bary, False), (omega, False)):
+        rep = F.arveson_in_hull(omega, x)
+        assert rep.is_boundary == boundary
+        assert match_holds(x, rep) if boundary else dilation_holds(x, rep)
+
+
+def test_arveson_in_hull_reads_the_pruned_certificate(monkeypatch):
+    # over the full generator, the barycenter summand has the reducing
+    # certificate V = e_3; only the pruned tuple's certificate dilates
+    s2 = gallery.simplex(2).pencil
+    bary = sum(vertex_rows(s2)) / 3
+    omega = pencil.direct_sum([s2, bary])
+    reducing = np.zeros((4, 1), dtype=complex)
+    reducing[3, 0] = 1.0
+    solve = F.hull_membership
+
+    def membership(om, x, tol=linalg.TOL):
+        if om.shape == omega.shape:
+            cert = F.ChoiCertificate(reducing @ reducing.conj().T, reducing, 1, 0.0)
+            return F.HullMembershipReport(F.MEMBER, cert, min_eig=1.0, residual=0.0)
+        return solve(om, x, tol=tol)
+
+    monkeypatch.setattr(F, "hull_membership", membership)
+    rep = F.arveson_in_hull(omega, bary)
+    assert rep.status == F.NOT_BOUNDARY
+    assert rep.directions_tried == 2
+    assert rep.generator.shape == s2.shape
+    assert dilation_holds(bary, rep)
+
+
+def test_arveson_in_hull_generator_without_certificate():
+    # X = Omega for irreducible g = 2, d = 4 draws: membership gives
+    # no_certificate (a one-point fibre), and the atom match decides
+    rng = linalg.default_rng(2)
+    for i in range(8):
+        omega = linalg.random_herm_tuple(2, 4, rng)
+        rep = F.arveson_in_hull(omega, omega)
+        assert rep.is_boundary, i
+        assert match_holds(omega, rep), i
+
+
+def test_arveson_in_hull_near_the_cutoff():
+    # a vertex row moved towards the barycenter: by 1e-4 the column clears
+    # the size rule; by 1e-6 it is too small to prove anything, and the
+    # point matches no atom, so neither verdict is given
+    vertex = scalar_pair(-1.0, 0.0)
+    bary = sum(vertex_rows(NAIMARK)) / 3
+    rep = F.arveson_in_hull(NAIMARK, (1 - 1e-4) * vertex + 1e-4 * bary)
+    assert rep.status == F.NOT_BOUNDARY
+    with pytest.raises(NumericalError, match="matches no atom"):
+        F.arveson_in_hull(NAIMARK, (1 - 1e-6) * vertex + 1e-6 * bary)
+
+
+def test_arveson_in_hull_needs_certified_atoms(monkeypatch):
+    def no_certificate(*args, **kwargs):
+        return F.InclusionReport(F.NO_CERTIFICATE, None, None, 0)
+    monkeypatch.setattr(F, "inclusion", no_certificate)
+    with pytest.raises(NumericalError, match="atoms"):
+        F.arveson_in_hull(NAIMARK, scalar_pair(-1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

