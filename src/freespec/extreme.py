@@ -26,7 +26,11 @@ test runs once and ``L_A(X)`` is decomposed once; only the witness checks
 evaluate the pencil again, at the perturbed or dilated tuples.
 :func:`dilation_oracle` is an independent feasibility-solver route to the
 same dilation question, kept deliberately separate from the kernel test so
-the two can cross-check each other.
+the two can cross-check each other. Its dilation matrix has ``L_A(X)`` as
+top-left block, so when PSD it vanishes on ``[k; 0]`` for every kernel vector
+``k``; the oracle adds those rows (one facial-reduction step) from its own
+generators and checks every dilation it reports by direct membership. Only
+the kernel is read from the shared decomposition.
 """
 
 from __future__ import annotations
@@ -45,12 +49,10 @@ from .linalg import TOL
 WITNESS_TOL = 1e-9
 
 #: :func:`dilation_oracle`: random directions before the coordinate ones, the
-#: column normalization ``Re<c, alpha>``, the solver's target, cap and window
+#: column normalization ``Re<c, alpha>`` and the solver's target
 ORACLE_DIRECTIONS = 6
 ORACLE_DELTA = 1e-2
 ORACLE_FEAS_TOL = 1e-7
-ORACLE_MAX_ITER = 4000
-ORACLE_STALL_WINDOW = 200
 
 
 class _Point:
@@ -486,13 +488,25 @@ def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
     """Search for one-column dilations with a convex feasibility solver.
 
     The dilation ``[[X, alpha], [alpha*, beta]]`` stays in the spectrahedron
-    exactly when the block matrix ``[[L_A(X), -c(alpha)], [-c(alpha)*,
+    exactly when the block matrix ``Z = [[L_A(X), -C(alpha)], [-C(alpha)*,
     L_A(beta)]]`` is PSD, an affine condition in ``(alpha, beta)``. For each
     direction ``c`` the solver runs with the normalization
     ``Re<c, alpha> = ORACLE_DELTA``; any hit is verified by direct membership
-    of the dilated tuple before being reported.
+    of the dilated tuple at ``-WITNESS_TOL`` before being reported.
 
-    This deliberately shares no code path with :func:`is_arveson`.
+    Each problem is first cut down to the face of the PSD cone that holds
+    its feasible set (one facial-reduction step). The top-left block of
+    ``Z`` is ``L = L_A(X)``, so for ``k`` in the kernel of ``L``,
+    ``[k; 0]* Z [k; 0] = 0`` and ``Z >= 0`` force ``Z [k; 0] = 0``, that is
+    ``C(alpha)* k = 0``: the bottom blocks of ``G_i [k; 0]`` over the
+    generators, with right-hand side 0, join the normalization row. For an
+    exact kernel they remove no feasible point; eigenvectors inside the
+    ``tol`` band are cut as :func:`is_arveson` cuts them. At an Arveson
+    boundary point the normalization is inconsistent on the face, and every
+    direction returns at once as ``no_certificate``; an interior point has
+    no kernel and gets no row. Only the kernel is shared with
+    :func:`is_arveson`: the rows come from the generators, and every hit is
+    checked by direct membership.
     """
     p = _Point(a, x, tol).member()
     a, x = p.a, p.x
@@ -519,6 +533,9 @@ def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
         gens.append(m)
     gens = np.stack(gens)
     p_alpha = len(alpha_dirs)
+    # face rows: the bottom block of G_i [k; 0] for every kernel vector k
+    face = (gens[:, d * n:, :d * n] @ p.membership.kernel).reshape(gens.shape[0], -1).T
+    face = np.vstack([face.real, face.imag])
 
     cands = []
     for _ in range(ORACLE_DIRECTIONS):
@@ -534,11 +551,10 @@ def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
         row[:p_alpha] = np.stack([c.real, c.imag], axis=-1).ravel()
         problem = feasibility.FeasibilityProblem(
             dim=dim, base=base, generators=gens,
-            extra=row[None], extra_rhs=np.array([ORACLE_DELTA]),
+            extra=np.vstack([row, face]),
+            extra_rhs=np.r_[ORACLE_DELTA, np.zeros(len(face))],
         )
-        res = feasibility.solve_affine_psd(problem, max_iter=ORACLE_MAX_ITER,
-                                           tol=ORACLE_FEAS_TOL,
-                                           stall_window=ORACLE_STALL_WINDOW)
+        res = feasibility.solve_affine_psd(problem, tol=ORACLE_FEAS_TOL)
         if not res.feasible:
             continue
         alpha = (res.s[0:p_alpha:2] + 1j * res.s[1:p_alpha:2]).reshape(g, n)
@@ -547,7 +563,7 @@ def dilation_oracle(a, x, seed=0, tol: float = TOL) -> OracleVerdict:
             continue
         z = column_dilation(x, alpha, beta)
         me = linalg.min_eig(pencil.eval_monic(a, z))
-        if me >= -1e-6:
+        if me >= -WITNESS_TOL:
             return OracleVerdict(True, alpha, beta, residual=float(max(0.0, -me)),
                                  directions_tried=tried)
     return OracleVerdict(False, None, None, residual=np.inf, directions_tried=tried)
